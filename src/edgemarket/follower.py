@@ -205,36 +205,39 @@ def build_follower_dual(ctx: FollowerContext) -> LinearModel:
 
 _FAMILIES = ("demand balance", "procurement coverage", "capacity",
              "eligibility", "budget", "delay definition", "delay cap")
+_FAMILY_OF_PREFIX = {"bal": "demand balance", "cov": "procurement coverage",
+                     "cov0": "procurement coverage", "cap": "capacity",
+                     "elig": "eligibility", "budget": "budget",
+                     "ddef": "delay definition", "dcap": "delay cap"}
 
 
 def _diagnose_infeasibility(ctx: FollowerContext) -> str:
     """Minimize total elastic violation and name the worst family."""
     inst, k = ctx.inst, ctx.k
     M, N = inst.num_aps, inst.num_ens
-    m = build_follower_lp(ctx)
-    # Lift the delay-cap bound into an elastic row.
+    base = build_follower_lp(ctx)
     lay = FollowerLayout(M, N)
-    for i in range(M):
-        var = m.variables[lay.avg_delay(i)]
-        var.ub = math.inf
-        m.add_constr({var.vid: 1.0}, LE, inst.delay_cap[k], name=f"dcap_{i}")
-    family_of = {}
+    delay_ids = {lay.avg_delay(i) for i in range(M)}
+    m = LinearModel(name=f"follower{k}_elastic", sense="min")
+    for v in base.variables:
+        # The delay-cap bound is lifted into an elastic row below.
+        m.add_var(v.name, v.lb, math.inf if v.vid in delay_ids else v.ub)
+    rows = [(c.coeffs, c.sense, c.rhs, c.name) for c in base.constraints]
+    rows += [({lay.avg_delay(i): 1.0}, LE, inst.delay_cap[k], f"dcap_{i}")
+             for i in range(M)]
     slacks = []
-    for ridx, con in enumerate(m.constraints):
-        prefix = con.name.split("_")[0]
-        family = {"bal": "demand balance", "cov": "procurement coverage",
-                  "cov0": "procurement coverage", "cap": "capacity",
-                  "elig": "eligibility", "budget": "budget",
-                  "ddef": "delay definition", "dcap": "delay cap"}[prefix]
+    for ridx, (coeffs, sense, rhs, name) in enumerate(rows):
+        family = _FAMILY_OF_PREFIX[name.split("_")[0]]
+        coeffs = dict(coeffs)
         sid = m.add_var(f"slack_{ridx}")
-        con.coeffs[sid] = -1.0 if con.sense in (LE, EQ) else 1.0
-        if con.sense == EQ:
+        coeffs[sid] = -1.0 if sense in (LE, EQ) else 1.0
+        if sense == EQ:
             sid2 = m.add_var(f"slack2_{ridx}")
-            con.coeffs[sid2] = 1.0
+            coeffs[sid2] = 1.0
             slacks.append((sid2, family))
         slacks.append((sid, family))
-        family_of[ridx] = family
-    m.set_objective({sid: 1.0 for sid, _ in slacks}, sense="min")
+        m.add_constr(coeffs, sense, rhs, name=name)
+    m.set_objective({sid: 1.0 for sid, _ in slacks})
     sol = lp_core.solve_lp(m)
     if sol.status != lp_core.OPTIMAL:
         return "unknown"

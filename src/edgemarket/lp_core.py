@@ -1,15 +1,23 @@
 """Solver-agnostic linear/mixed-integer model IR and solvers.
 
-``LinearModel`` is a plain sparse container. LP relaxations are solved
-with scipy's HiGHS simplex (``solve_lp``); MILPs with an embedded
-best-first branch-and-bound over those relaxations (``solve_milp``),
-or optionally with HiGHS' own branch-and-bound backend. An MPS writer
-and a solution importer bridge to external solvers.
+``LinearModel`` is a plain sparse container. On its first solve it is
+compiled once, with vectorised checks, to arrays (cost vector, CSC
+matrix, row and column bounds); any change to the model drops that
+compiled form. ``solve_lp`` keeps one HiGHS instance per compiled model,
+through the bindings bundled with scipy (``scipy.optimize._highspy``):
+the first call hands HiGHS the LP that ``linprog(method="highs")`` did,
+and every later call changes only column bounds, so HiGHS hot-starts
+from the basis it already holds. MILPs are solved with an embedded
+best-first branch-and-bound over those relaxations (``solve_milp``), or
+with HiGHS' own branch-and-bound through ``scipy.optimize.milp``. An MPS
+writer and a solution importer bridge to external solvers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.optimize as sopt
 import scipy.sparse as sp
+from scipy.optimize._highspy import _core as _highs
 
 from .tolerances import TOL
 
@@ -47,8 +56,94 @@ class _Constr:
     name: str
 
 
+@dataclass
+class _Compiled:
+    """A model as HiGHS sees it: minimise ``c @ x`` subject to
+    ``row_lo <= A @ x <= row_hi`` and ``col_lo <= x <= col_hi``. The
+    ``<=`` rows come first (``>=`` rows negated), then the ``=`` rows,
+    each block in model order."""
+
+    cost: np.ndarray        # objective coefficients in the model's own sense
+    c: np.ndarray
+    A: sp.csc_array
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    col_lo: np.ndarray
+    col_hi: np.ndarray
+    row_order: np.ndarray   # model row of each HiGHS row
+    binary: np.ndarray      # ids of the binary variables
+    highs: Optional[_highs._Highs] = None   # made by the first solve_lp
+    lo_set: Optional[np.ndarray] = None     # column bounds held by ``highs``
+    hi_set: Optional[np.ndarray] = None
+
+
+def _first_bad(mask: np.ndarray) -> Optional[int]:
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def _compile(m: "LinearModel") -> _Compiled:
+    """Arrays of ``m``; raises ValueError on dangling ids, non-finite
+    coefficients or right-hand sides, and binaries outside [0, 1]."""
+    n, rows = m.num_vars, m.constraints
+    lens = np.fromiter((len(c.coeffs) for c in rows), np.int64, len(rows))
+    nnz = int(lens.sum())
+    cols = np.fromiter(itertools.chain.from_iterable(
+        c.coeffs for c in rows), np.int64, nnz)
+    vals = np.fromiter(itertools.chain.from_iterable(
+        c.coeffs.values() for c in rows), float, nnz)
+    rhs = np.fromiter((c.rhs for c in rows), float, len(rows))
+    row_of = np.repeat(np.arange(len(rows)), lens)
+    bad = _first_bad((cols < 0) | (cols >= n))
+    if bad is not None:
+        raise ValueError(f"constraint {rows[row_of[bad]].name} references "
+                         f"unknown id {cols[bad]}")
+    bad = _first_bad(~np.isfinite(vals))
+    if bad is not None:
+        raise ValueError(f"non-finite coefficient in {rows[row_of[bad]].name}")
+    bad = _first_bad(~np.isfinite(rhs))
+    if bad is not None:
+        raise ValueError(f"non-finite rhs in {rows[bad].name}")
+
+    obj_ids = np.fromiter(m.objective, np.int64, len(m.objective))
+    obj_vals = np.fromiter(m.objective.values(), float, len(m.objective))
+    bad = _first_bad((obj_ids < 0) | (obj_ids >= n))
+    if bad is not None:
+        raise ValueError(f"objective references unknown id {obj_ids[bad]}")
+    if not np.isfinite(obj_vals).all():
+        raise ValueError("non-finite objective coefficient")
+    cost = np.zeros(n)
+    cost[obj_ids] = obj_vals
+
+    col_lo = np.fromiter((v.lb for v in m.variables), float, n)
+    col_hi = np.fromiter((v.ub for v in m.variables), float, n)
+    binary = np.fromiter((v.binary for v in m.variables), bool, n)
+    bad = _first_bad(binary & ~((col_lo >= 0.0) & (col_hi <= 1.0)))
+    if bad is not None:
+        raise ValueError(f"binary variable {m.variables[bad].name} has "
+                         "bounds outside [0,1]")
+
+    is_eq = np.fromiter((c.sense == EQ for c in rows), bool, len(rows))
+    sign = np.where(np.fromiter((c.sense == GE for c in rows), bool,
+                                len(rows)), -1.0, 1.0)
+    row_order = np.concatenate([np.flatnonzero(~is_eq), np.flatnonzero(is_eq)])
+    position = np.empty(len(rows), np.int64)
+    position[row_order] = np.arange(len(rows))
+    A = sp.csc_array((vals * sign[row_of], (position[row_of], cols)),
+                     shape=(len(rows), n))
+    row_hi = (rhs * sign)[row_order]
+    row_lo = np.where(is_eq, rhs, -np.inf)[row_order]
+    return _Compiled(cost=cost, c=-cost if m.obj_sense == "max" else cost,
+                     A=A, row_lo=row_lo, row_hi=row_hi, col_lo=col_lo,
+                     col_hi=col_hi, row_order=row_order,
+                     binary=np.flatnonzero(binary))
+
+
 class LinearModel:
-    """Sparse LP/MILP container with named variables and constraints."""
+    """Sparse LP/MILP container with named variables and constraints.
+
+    Change a model only through its methods: each one drops the compiled
+    form that the solvers reuse.
+    """
 
     def __init__(self, name: str = "model", sense: str = "max"):
         if sense not in ("min", "max"):
@@ -58,6 +153,7 @@ class LinearModel:
         self.variables: List[_Var] = []
         self.constraints: List[_Constr] = []
         self.objective: Dict[int, float] = {}
+        self._compiled: Optional[_Compiled] = None
 
     # -- building -----------------------------------------------------
 
@@ -69,6 +165,7 @@ class LinearModel:
                 raise ValueError(f"binary variable {name} has empty bound range")
         vid = len(self.variables)
         self.variables.append(_Var(vid, name, float(lb), float(ub), binary))
+        self._compiled = None
         return vid
 
     def add_constr(self, coeffs: Dict[int, float], sense: str, rhs: float,
@@ -78,7 +175,14 @@ class LinearModel:
         row = len(self.constraints)
         self.constraints.append(
             _Constr(dict(coeffs), sense, float(rhs), name or f"c{row}"))
+        self._compiled = None
         return row
+
+    def drop_constraints(self, start: int):
+        """Remove every constraint from row ``start`` on."""
+        if start < len(self.constraints):
+            del self.constraints[start:]
+            self._compiled = None
 
     def set_objective(self, coeffs: Dict[int, float], sense: Optional[str] = None):
         if sense is not None:
@@ -86,6 +190,7 @@ class LinearModel:
                 raise ValueError(f"bad objective sense: {sense}")
             self.obj_sense = sense
         self.objective = dict(coeffs)
+        self._compiled = None
 
     # -- introspection ------------------------------------------------
 
@@ -105,25 +210,15 @@ class LinearModel:
     def num_binaries(self) -> int:
         return len(self.binary_ids)
 
+    def _compiled_form(self) -> _Compiled:
+        """The solvers' arrays of this model, compiled on first use."""
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
+
     def validate(self):
         """Raise ValueError on dangling ids or non-finite coefficients."""
-        n = self.num_vars
-        for c in self.constraints:
-            for vid, coef in c.coeffs.items():
-                if not 0 <= vid < n:
-                    raise ValueError(f"constraint {c.name} references unknown id {vid}")
-                if not math.isfinite(coef):
-                    raise ValueError(f"non-finite coefficient in {c.name}")
-            if not math.isfinite(c.rhs):
-                raise ValueError(f"non-finite rhs in {c.name}")
-        for vid, coef in self.objective.items():
-            if not 0 <= vid < n:
-                raise ValueError(f"objective references unknown id {vid}")
-            if not math.isfinite(coef):
-                raise ValueError("non-finite objective coefficient")
-        for v in self.variables:
-            if v.binary and not (0.0 <= v.lb and v.ub <= 1.0):
-                raise ValueError(f"binary variable {v.name} has bounds outside [0,1]")
+        self._compiled_form()
 
     def objective_value(self, values: Dict[int, float]) -> float:
         return sum(coef * values[vid] for vid, coef in self.objective.items())
@@ -153,44 +248,67 @@ class MilpSolution:
     relative_gap: float = 0.0
     nodes_explored: int = 0
     wall_time: float = 0.0
-    # Duals of the constraint rows, populated by solve_lp only.
+    # Duals of the constraint rows and the values as an array by
+    # variable id, populated by solve_lp only.
     constraint_duals: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
 
 
-def _scipy_arrays(m: LinearModel):
-    n = m.num_vars
-    c = np.zeros(n)
-    for vid, coef in m.objective.items():
-        c[vid] = coef
-    if m.obj_sense == "max":
-        c = -c
-    rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
-    ub_index, eq_index = [], []
-    for ridx, con in enumerate(m.constraints):
-        ids = list(con.coeffs)
-        vals = np.array([con.coeffs[i] for i in ids])
-        if con.sense == EQ:
-            rows_eq.append((ids, vals))
-            rhs_eq.append(con.rhs)
-            eq_index.append(ridx)
-        elif con.sense == LE:
-            rows_ub.append((ids, vals))
-            rhs_ub.append(con.rhs)
-            ub_index.append(ridx)
-        else:  # GE -> negate
-            rows_ub.append((ids, -vals))
-            rhs_ub.append(-con.rhs)
-            ub_index.append(ridx)
-    def build(rows):
-        data, ri, ci = [], [], []
-        for r, (ids, vals) in enumerate(rows):
-            ri.extend([r] * len(ids))
-            ci.extend(ids)
-            data.extend(vals)
-        return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-    A_ub = build(rows_ub) if rows_ub else None
-    A_eq = build(rows_eq) if rows_eq else None
-    return c, A_ub, np.array(rhs_ub), A_eq, np.array(rhs_eq), ub_index, eq_index
+# The options linprog(method="highs") gave HiGHS; a retry changes some
+# of them for one run and then puts them back.
+_HIGHS_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "highs_debug_level": 0,
+    "presolve": "on",
+    "solver": "choose",
+    "simplex_strategy": 1,    # dual simplex
+}
+# HiGHS occasionally gives up with an unresolved status on
+# near-degenerate bases, or after a hot start. Each retry starts cold
+# (a cold first solve skips the first entry), then tries other
+# algorithms before failing.
+_RETRIES = ({}, {"presolve": "off"}, {"solver": "simplex"}, {"solver": "ipm"})
+# linprog rejected an optimum whose bound or row residual exceeded this.
+_RESIDUAL_TOL = 10.0 * math.sqrt(1e-9)
+
+
+def _new_highs(cm: _Compiled, lo: np.ndarray, hi: np.ndarray) -> _highs._Highs:
+    h = _highs._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        h.setOptionValue(name, value)
+    lp = _highs.HighsLp()
+    lp.num_row_, lp.num_col_ = cm.A.shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = cm.A.shape
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = cm.A.indptr
+    lp.a_matrix_.index_ = cm.A.indices
+    lp.a_matrix_.value_ = cm.A.data
+    lp.col_cost_ = cm.c
+    lp.col_lower_, lp.col_upper_ = lo, hi
+    lp.row_lower_, lp.row_upper_ = cm.row_lo, cm.row_hi
+    h.passModel(lp)
+    return h
+
+
+def _run(h: _highs._Highs, cm: _Compiled, lo: np.ndarray, hi: np.ndarray):
+    """One HiGHS run: (status, x, row duals), or None if it did not settle."""
+    h.run()
+    status = h.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
+        return INFEASIBLE, None, None
+    if status == _highs.HighsModelStatus.kUnbounded:
+        return UNBOUNDED, None, None
+    if status != _highs.HighsModelStatus.kOptimal:
+        return None
+    sol = h.getSolution()
+    x, rows = np.array(sol.col_value), np.array(sol.row_value)
+    tol = _RESIDUAL_TOL
+    if (np.all(x >= lo - tol) and np.all(x <= hi + tol)
+            and np.all(rows >= cm.row_lo - tol)
+            and np.all(rows <= cm.row_hi + tol)):
+        return OPTIMAL, x, sol.row_dual
+    return None
 
 
 def solve_lp(m: LinearModel,
@@ -199,47 +317,52 @@ def solve_lp(m: LinearModel,
     """Solve the LP relaxation of ``m`` (integrality ignored).
 
     ``bound_overrides`` maps variable id to a (lb, ub) pair; used by the
-    branch-and-bound to fix binaries without copying the model.
+    branch-and-bound to fix binaries without copying the model. Only
+    those bounds change between calls on an unchanged model, and HiGHS
+    starts from the basis of the previous call.
     """
-    m.validate()
     t0 = time.perf_counter()
-    c, A_ub, b_ub, A_eq, b_eq, ub_index, eq_index = _scipy_arrays(m)
-    bounds = []
-    for v in m.variables:
-        lo, hi = v.lb, v.ub
-        if bound_overrides and v.vid in bound_overrides:
-            lo, hi = bound_overrides[v.vid]
-        bounds.append((lo, None if hi == math.inf else hi))
-    # HiGHS occasionally gives up with an unresolved status on
-    # near-degenerate bases; retry with other algorithms before failing.
-    attempts = [("highs", {}), ("highs", {"presolve": False}),
-                ("highs-ds", {}), ("highs-ipm", {})]
-    res = None
-    for method, options in attempts:
-        res = sopt.linprog(c, A_ub=A_ub,
-                           b_ub=b_ub if A_ub is not None else None,
-                           A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-                           bounds=bounds, method=method,
-                           options=options or None)
-        if res.status in (0, 2, 3):
+    cm = m._compiled_form()
+    lo, hi = cm.col_lo, cm.col_hi
+    if bound_overrides:
+        lo, hi = lo.copy(), hi.copy()
+        for vid, (a, b) in bound_overrides.items():
+            lo[vid], hi[vid] = a, b
+    h, cold = cm.highs, cm.highs is None
+    if cold:
+        h = cm.highs = _new_highs(cm, lo, hi)
+    else:
+        changed = np.flatnonzero((lo != cm.lo_set) | (hi != cm.hi_set))
+        if changed.size:
+            h.changeColsBounds(changed.size, changed, lo[changed], hi[changed])
+    cm.lo_set, cm.hi_set = lo, hi
+    result = _run(h, cm, lo, hi)
+    for retry, options in enumerate(_RETRIES):
+        if result is not None:
             break
+        if cold and retry == 0:
+            continue
+        h.clearSolver()
+        for name, value in options.items():
+            h.setOptionValue(name, value)
+        result = _run(h, cm, lo, hi)
+        for name in options:
+            h.setOptionValue(name, _HIGHS_OPTIONS[name])
     wall = time.perf_counter() - t0
-    if res.status == 2:
+    if result is None:
+        raise RuntimeError("LP solve failed: HiGHS model status "
+                           f"{h.modelStatusToString(h.getModelStatus())}")
+    status, x, row_duals = result
+    if status == INFEASIBLE:
         return MilpSolution(INFEASIBLE, math.nan, wall_time=wall)
-    if res.status == 3:
+    if status == UNBOUNDED:
         return MilpSolution(UNBOUNDED, math.inf if m.obj_sense == "max" else -math.inf,
                             wall_time=wall)
-    if res.status != 0:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    values = {i: float(res.x[i]) for i in range(m.num_vars)}
-    obj = m.objective_value(values)
-    duals = np.zeros(m.num_constrs)
-    if res.ineqlin is not None and len(ub_index):
-        duals[ub_index] = res.ineqlin.marginals
-    if res.eqlin is not None and len(eq_index):
-        duals[eq_index] = res.eqlin.marginals
-    return MilpSolution(OPTIMAL, obj, values, relative_gap=0.0,
-                        wall_time=wall, constraint_duals=duals)
+    duals = np.empty(m.num_constrs)
+    duals[cm.row_order] = row_duals
+    return MilpSolution(OPTIMAL, float(cm.cost @ x), dict(enumerate(x.tolist())),
+                        relative_gap=0.0, wall_time=wall,
+                        constraint_duals=duals, x=x)
 
 
 @dataclass
@@ -248,6 +371,20 @@ class MilpConfig:
     time_limit: Optional[float] = None
     node_limit: Optional[int] = None
     backend: str = "bnb"          # "bnb" (embedded) or "highs"
+
+
+def deadline(cfg: MilpConfig) -> Optional[float]:
+    """The ``time.perf_counter()`` reading at which ``cfg``'s time limit,
+    counted from now, runs out."""
+    return None if cfg.time_limit is None else time.perf_counter() + cfg.time_limit
+
+
+def time_left(cfg: MilpConfig, until: Optional[float]) -> MilpConfig:
+    """``cfg`` with its time limit cut to what is left before ``until``."""
+    if until is None:
+        return cfg
+    return dataclasses.replace(
+        cfg, time_limit=max(0.0, until - time.perf_counter()))
 
 
 def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution:
@@ -268,6 +405,9 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     Polishing cannot detect a claim that is too low: solver tolerances
     can also cut off the true optimum, and the polished value is then
     reported as it stands.
+
+    ``cfg.time_limit`` bounds the whole call: each polishing round gets
+    only the time left of it.
     """
     cfg = cfg or MilpConfig()
     m.validate()
@@ -289,11 +429,16 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
     best: Optional[MilpSolution] = None   # best exactly-polished candidate
     seen = set()
     t0 = time.perf_counter()
+    until = deadline(cfg)
     sign = 1.0 if m.obj_sense == "max" else -1.0
     nodes = 0
     try:
         for _ in range(_POLISH_ROUNDS):
-            sol = solver(m, cfg)
+            round_cfg = time_left(cfg, until)
+            if round_cfg.time_limit is not None and round_cfg.time_limit <= 0:
+                sol = MilpSolution(TIME_LIMIT, math.nan)
+            else:
+                sol = solver(m, round_cfg)
             nodes += sol.nodes_explored
             if sol.status not in (OPTIMAL, GAP_LIMIT):
                 if best is not None and sol.status == INFEASIBLE:
@@ -334,7 +479,7 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
             raise RuntimeError("incumbent polishing did not settle within "
                                f"{_POLISH_ROUNDS} rounds")
     finally:
-        del m.constraints[base_rows:]
+        m.drop_constraints(base_rows)
     if best is None:
         return MilpSolution(INFEASIBLE, math.nan, nodes_explored=nodes,
                             wall_time=time.perf_counter() - t0)
@@ -342,10 +487,22 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
     return best
 
 
+def _most_fractional(x: np.ndarray, binaries: np.ndarray) -> Optional[int]:
+    """The binary farthest from integral, lowest id among ties, or None
+    when every binary is integral within tolerance."""
+    xb = x[binaries]
+    frac = np.where(np.abs(xb - np.round(xb)) > TOL.binary_integrality,
+                    0.5 - np.abs(xb - 0.5), -1.0)
+    best = frac.max(initial=-1.0)
+    if best < 0.0:
+        return None
+    return int(binaries[np.argmax(frac >= best - 1e-12)])
+
+
 def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     t0 = time.perf_counter()
     sign = 1.0 if m.obj_sense == "max" else -1.0  # work in max space
-    binaries = m.binary_ids
+    binaries = m._compiled_form().binary
     root = solve_lp(m)
     if root.status in (INFEASIBLE, UNBOUNDED):
         root.nodes_explored = 1
@@ -360,15 +517,6 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     heap = [(-sign * root.objective, counter, {})]
     cached_root = root
     status = OPTIMAL
-
-    def frac_binary(values):
-        best_vid, best_frac = None, -1.0
-        for vid in binaries:
-            x = values[vid]
-            f = abs(x - round(x))
-            if f > TOL.binary_integrality and 0.5 - abs(x - 0.5) > best_frac + 1e-12:
-                best_vid, best_frac = vid, 0.5 - abs(x - 0.5)
-        return best_vid
 
     while heap:
         neg_bound, _, fixings = heapq.heappop(heap)
@@ -393,10 +541,10 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         if incumbent is not None and node_obj <= incumbent_obj + \
                 cfg.gap_tol * max(1.0, abs(incumbent_obj)):
             continue
-        vid = frac_binary(sol.values)
+        vid = _most_fractional(sol.x, binaries)
         if vid is None:
             if node_obj > incumbent_obj:
-                incumbent, incumbent_obj = dict(sol.values), node_obj
+                incumbent, incumbent_obj = sol.values, node_obj
             continue
         for val in (0.0, 1.0):
             counter += 1
@@ -420,32 +568,20 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
 
 def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     t0 = time.perf_counter()
-    c, A_ub, b_ub, A_eq, b_eq, _, _ = _scipy_arrays(m)
+    cm = m._compiled_form()
     sign = 1.0 if m.obj_sense == "max" else -1.0
-    blocks, lows, highs = [], [], []
-    if A_ub is not None:
-        blocks.append(A_ub)
-        lows.append(np.full(len(b_ub), -np.inf))
-        highs.append(b_ub)
-    if A_eq is not None:
-        blocks.append(A_eq)
-        lows.append(b_eq)
-        highs.append(b_eq)
     constraints = None
-    if blocks:
-        constraints = sopt.LinearConstraint(sp.vstack(blocks),
-                                            np.concatenate(lows),
-                                            np.concatenate(highs))
-    integrality = np.array([1 if v.binary else 0 for v in m.variables])
-    lb = np.array([v.lb for v in m.variables])
-    ub = np.array([v.ub for v in m.variables])
+    if m.num_constrs:
+        constraints = sopt.LinearConstraint(cm.A, cm.row_lo, cm.row_hi)
+    integrality = np.zeros(m.num_vars, int)
+    integrality[cm.binary] = 1
     options = {"mip_rel_gap": cfg.gap_tol}
     if cfg.time_limit is not None:
         options["time_limit"] = cfg.time_limit
     if cfg.node_limit is not None:
         options["node_limit"] = cfg.node_limit
-    res = sopt.milp(c, constraints=constraints, integrality=integrality,
-                    bounds=sopt.Bounds(lb, ub), options=options)
+    res = sopt.milp(cm.c, constraints=constraints, integrality=integrality,
+                    bounds=sopt.Bounds(cm.col_lo, cm.col_hi), options=options)
     wall = time.perf_counter() - t0
     if res.status == 2:
         return MilpSolution(INFEASIBLE, math.nan, wall_time=wall)
@@ -453,13 +589,12 @@ def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         return MilpSolution(UNBOUNDED, sign * math.inf, wall_time=wall)
     if res.x is None:
         return MilpSolution(TIME_LIMIT, math.nan, wall_time=wall)
-    values = {i: float(res.x[i]) for i in range(m.num_vars)}
-    obj = m.objective_value(values)
     gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
     status = OPTIMAL if res.status == 0 else TIME_LIMIT
     if status == OPTIMAL and gap > cfg.gap_tol * (1 + 1e-9):
         status = GAP_LIMIT
-    return MilpSolution(status, obj, values, relative_gap=gap,
+    return MilpSolution(status, float(cm.cost @ res.x),
+                        dict(enumerate(res.x.tolist())), relative_gap=gap,
                         nodes_explored=int(getattr(res, "mip_node_count", 0) or 0),
                         wall_time=wall)
 

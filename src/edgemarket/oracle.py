@@ -19,8 +19,8 @@ from .lp_core import LE, EQ, LinearModel
 from .model import FollowerSolution, Instance, LeaderDecision, leader_profit
 from .tolerances import TOL
 
-# Slack added to the follower-cost pin in the second stage so LP round-off
-# cannot make an optimal response infeasible.
+# Slack allowed on the follower-cost pin in the second stage, only when
+# LP round-off makes the exact pin infeasible.
 _COST_PIN_SLACK = 1e-9
 
 
@@ -54,6 +54,7 @@ def _second_stage(inst: Instance, prices: np.ndarray, active, placed,
          for k in range(K) for i in range(M) for j in range(N)}
     y0 = {k: m.add_var(f"y0_{k}") for k in range(K)}
     y = {(j, k): m.add_var(f"y_{j}_{k}") for k in range(K) for j in range(N)}
+    pin_slack: Dict[int, float] = {}   # variable id -> slack it may take
 
     for k in range(K):
         w = inst.delay_weight[k]
@@ -91,17 +92,19 @@ def _second_stage(inst: Instance, prices: np.ndarray, active, placed,
                          inst.delay_cap[k] * inst.demand[i, k],
                          name=f"dcap_{i}_{k}")
         # Pin each service to its own optimum: optimistic resolution may
-        # not cost the follower anything.
-        cost = {y0[k]: inst.cloud_price}
+        # not cost the follower anything. The pin is exact; its slack is
+        # fixed at 0 and freed only if round-off makes the exact pin
+        # infeasible.
+        slack = m.add_var(f"pin_slack_{k}", ub=0.0)
+        pin_slack[slack] = _COST_PIN_SLACK * (1 + abs(opt_costs[k]))
+        cost = {y0[k]: inst.cloud_price, slack: -1.0}
         for j in range(N):
             cost[y[j, k]] = prices[j]
         for i in range(M):
             cost[x0[i, k]] = w * inst.delay_cloud[i]
             for j in range(N):
                 cost[x[i, j, k]] = w * inst.delay_edge[i, j]
-        m.add_constr(cost, LE,
-                     opt_costs[k] + _COST_PIN_SLACK * (1 + abs(opt_costs[k])),
-                     name=f"pin_{k}")
+        m.add_constr(cost, LE, opt_costs[k], name=f"pin_{k}")
     for j in range(N):
         coeffs = {y[j, k]: 1.0 for k in range(K)}
         m.add_constr(coeffs, LE, inst.compute_cap[j] * active[j],
@@ -117,6 +120,9 @@ def _second_stage(inst: Instance, prices: np.ndarray, active, placed,
                     - inst.variable_cost[j] / inst.compute_cap[j]
     m.set_objective(obj)
     sol = lp_core.solve_lp(m)
+    if sol.status == lp_core.INFEASIBLE:
+        sol = lp_core.solve_lp(m, {vid: (0.0, slack)
+                                   for vid, slack in pin_slack.items()})
     if sol.status != lp_core.OPTIMAL:
         return None
     followers = []
@@ -150,7 +156,7 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
                          f"budget is {max_candidates}")
     M, N, K, V = (inst.num_aps, inst.num_ens, inst.num_services,
                   inst.num_price_levels)
-    follower_cache: Dict[tuple, object] = {}
+    follower_cache: Dict[tuple, Optional[float]] = {}   # None: infeasible
     log: List[dict] = []
     best = None  # (profit, sort_key, LeaderDecision, followers)
     examined = 0
@@ -176,10 +182,12 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
                         try:
                             fs, _ = solve_follower(ctx)
                             follower_cache[key] = fs.cost
-                        except FollowerInfeasibleError as exc:
-                            follower_cache[key] = exc
+                        except FollowerInfeasibleError:
+                            # Keeping the exception would keep its
+                            # traceback's frames and their LP models alive.
+                            follower_cache[key] = None
                     cached = follower_cache[key]
-                    if isinstance(cached, FollowerInfeasibleError):
+                    if cached is None:
                         infeasible = f"follower {k} infeasible"
                         break
                     opt_costs.append(cached)

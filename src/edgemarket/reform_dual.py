@@ -152,13 +152,15 @@ def solve_p2(inst: Instance, config: Optional[MilpConfig] = None,
              bigm: Optional[BigMSet] = None, flat: bool = False,
              fix_price_level: Optional[int] = None) -> ReformResult:
     """Solve P2 with the derived linearization constant, escalating it
-    tenfold (at most three times) if it turns out binding."""
+    tenfold (at most three times) if it turns out binding.
+    ``config.time_limit`` bounds the whole call, escalations included."""
     bigm = bigm or derive_bigM(inst)
     config = config or MilpConfig()
+    until = lp_core.deadline(config)
     for escalation in range(MAX_ESCALATIONS + 1):
         model, lay = build_p2(inst, bigm.m_lin, flat=flat,
                               fix_price_level=fix_price_level)
-        sol = lp_core.solve_milp(model, config)
+        sol = lp_core.solve_milp(model, lp_core.time_left(config, until))
         if sol.status not in (lp_core.OPTIMAL, lp_core.GAP_LIMIT):
             return ReformResult(sol.status, None, None, None, None, sol,
                                 bigm, escalation, [])

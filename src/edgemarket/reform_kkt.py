@@ -285,13 +285,15 @@ def solve_p1(inst: Instance, config: Optional[MilpConfig] = None,
              bigm: Optional[BigMSet] = None, flat: bool = False,
              fix_price_level: Optional[int] = None) -> ReformResult:
     """Derive big-M constants, solve P1, and escalate the constants
-    tenfold (at most three times) if any turns out binding."""
+    tenfold (at most three times) if any turns out binding.
+    ``config.time_limit`` bounds the whole call, escalations included."""
     bigm = bigm or derive_bigM(inst)
     config = config or MilpConfig()
+    until = lp_core.deadline(config)
     for escalation in range(MAX_ESCALATIONS + 1):
         model, lay = build_p1(inst, bigm, flat=flat,
                               fix_price_level=fix_price_level)
-        sol = lp_core.solve_milp(model, config)
+        sol = lp_core.solve_milp(model, lp_core.time_left(config, until))
         if sol.status not in (lp_core.OPTIMAL, lp_core.GAP_LIMIT):
             return ReformResult(sol.status, None, None, None, None, sol,
                                 bigm, escalation, [])

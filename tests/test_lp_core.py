@@ -1,16 +1,22 @@
-"""LP/MILP core: LP against a vertex-enumeration oracle, MILP against
-exhaustive enumeration, MPS round trip, solution import."""
+"""LP/MILP core: LP against a vertex-enumeration oracle and against
+scipy's linprog, the compile cache and hot starts, MILP against
+exhaustive enumeration, the wall-clock budget, MPS round trip, solution
+import."""
 
+import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.optimize as sopt
 
-from edgemarket.lp_core import (GE, LE, EQ, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                                LinearModel, MilpConfig, export_mps,
-                                import_solution, mps_names, solve_lp,
-                                solve_milp)
+from edgemarket import lp_core
+from edgemarket.lp_core import (GE, LE, EQ, INFEASIBLE, OPTIMAL, TIME_LIMIT,
+                                UNBOUNDED, LinearModel, MilpConfig,
+                                MilpSolution, export_mps, import_solution,
+                                mps_names, solve_lp, solve_milp)
 
 
 def random_lp(rng, n_vars=4, n_rows=5):
@@ -118,29 +124,89 @@ def random_milp(rng, n_bin, n_cont=2):
     return m
 
 
+def linprog_arrays(m):
+    """``m`` as dense linprog arguments, built here, independent of
+    lp_core's solve path."""
+    n = m.num_vars
+    c = np.zeros(n)
+    for vid, coef in m.objective.items():
+        c[vid] = coef
+    A_ub, b_ub, A_eq, b_eq, ub_rows, eq_rows = [], [], [], [], [], []
+    for ridx, con in enumerate(m.constraints):
+        a = np.zeros(n)
+        for vid, coef in con.coeffs.items():
+            a[vid] = coef
+        if con.sense == EQ:
+            A_eq.append(a)
+            b_eq.append(con.rhs)
+            eq_rows.append(ridx)
+        else:
+            flip = -1.0 if con.sense == GE else 1.0
+            A_ub.append(flip * a)
+            b_ub.append(flip * con.rhs)
+            ub_rows.append(ridx)
+    return dict(c=c, sign=-1.0 if m.obj_sense == "max" else 1.0,
+                A_ub=np.array(A_ub) if A_ub else None,
+                b_ub=np.array(b_ub) if b_ub else None,
+                A_eq=np.array(A_eq) if A_eq else None,
+                b_eq=np.array(b_eq) if b_eq else None,
+                bounds=[(v.lb, v.ub) for v in m.variables],
+                rows=(ub_rows, eq_rows, m.num_constrs))
+
+
+def linprog_reference(m, bound_overrides=None, arrays=None):
+    """Solve ``m`` with scipy's linprog. Returns (status, objective,
+    row duals)."""
+    arrays = arrays or linprog_arrays(m)
+    bounds = list(arrays["bounds"])
+    for vid, pair in (bound_overrides or {}).items():
+        bounds[vid] = pair
+    kwargs = {key: arrays[key] for key in ("A_ub", "b_ub", "A_eq", "b_eq")}
+    c = arrays["sign"] * arrays["c"]
+    res = sopt.linprog(c, bounds=bounds, method="highs", **kwargs)
+    if res.status == 4:   # unbounded-or-infeasible: ask without presolve
+        res = sopt.linprog(c, bounds=bounds, method="highs",
+                           options={"presolve": False}, **kwargs)
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
+    if status != OPTIMAL:
+        return status, None, None
+    ub_rows, eq_rows, n_rows = arrays["rows"]
+    duals = np.zeros(n_rows)
+    duals[ub_rows] = res.ineqlin.marginals
+    duals[eq_rows] = res.eqlin.marginals
+    return status, float(arrays["c"] @ res.x), duals
+
+
 def milp_oracle(m):
-    """Exhaustive enumeration over binary assignments, LP for the rest."""
+    """Exhaustive enumeration over binary assignments, with each LP for
+    the rest solved by linprog, not by the code under test."""
     binaries = m.binary_ids
+    arrays = linprog_arrays(m)
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        sol = solve_lp(m, bound_overrides={vid: (b, b)
-                                           for vid, b in zip(binaries, bits)})
-        if sol.status != OPTIMAL:
+        status, objective, _ = linprog_reference(
+            m, {vid: (b, b) for vid, b in zip(binaries, bits)}, arrays)
+        if status != OPTIMAL:
             continue
-        if best is None or sol.objective > best:
-            best = sol.objective
+        if best is None or objective > best:
+            best = objective
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def enumeration_cases():
+    """50 random MILPs with their enumerated optima, shared by both
+    backends' tests."""
+    rng = np.random.default_rng(42)
+    models = [random_milp(rng, int(rng.integers(1, 11))) for _ in range(50)]
+    return tuple((m, milp_oracle(m)) for m in models)
 
 
 @pytest.mark.parametrize("backend", ["bnb", "highs"])
 def test_solve_milp_matches_enumeration(backend):
-    rng = np.random.default_rng(42)
     mismatches = []
-    for trial in range(50):
-        n_bin = int(rng.integers(1, 11))
-        m = random_milp(rng, n_bin)
+    for trial, (m, oracle) in enumerate(enumeration_cases()):
         sol = solve_milp(m, MilpConfig(backend=backend))
-        oracle = milp_oracle(m)
         if oracle is None:
             ok = sol.status == INFEASIBLE
         else:
@@ -223,9 +289,132 @@ def test_export_mps_bound_markers():
     assert " UP BND" in text
 
 
+def mixed_lp(rng, sense, n_vars=5, n_rows=6):
+    """Random LP with <=, >= and = rows; some are infeasible or
+    unbounded."""
+    m = LinearModel(name="mixed", sense=sense)
+    for i in range(n_vars):
+        ub = float(rng.uniform(0.5, 3.0)) if rng.random() < 0.8 else math.inf
+        m.add_var(f"v{i}", lb=0.0, ub=ub)
+    for _ in range(n_rows):
+        coeffs = {i: float(rng.normal()) for i in range(n_vars)
+                  if rng.random() < 0.7} or {0: 1.0}
+        row_sense = (LE, LE, GE, EQ)[int(rng.integers(4))]
+        m.add_constr(coeffs, row_sense, float(rng.uniform(-1.0, 3.0)))
+    m.set_objective({i: float(rng.normal()) for i in range(n_vars)})
+    return m
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_cold_solve_matches_linprog(sense):
+    rng = np.random.default_rng(11)
+    statuses = set()
+    for _ in range(40):
+        m = mixed_lp(rng, sense)
+        sol = solve_lp(m)
+        status, objective, duals = linprog_reference(m)
+        statuses.add(status)
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert sol.objective == pytest.approx(objective, abs=1e-9)
+            np.testing.assert_allclose(sol.constraint_duals, duals,
+                                       rtol=0, atol=1e-9)
+    assert OPTIMAL in statuses and INFEASIBLE in statuses
+
+
+def test_changing_the_model_after_a_solve_changes_the_next_result():
+    m = LinearModel(sense="max")
+    a = m.add_var("a", ub=4.0)
+    b = m.add_var("b", ub=4.0)
+    m.add_constr({a: 1.0, b: 1.0}, LE, 5.0)
+    m.set_objective({a: 1.0, b: 2.0})
+    assert solve_lp(m).objective == pytest.approx(9.0)
+    m.add_constr({b: 1.0}, LE, 1.0)
+    assert solve_lp(m).objective == pytest.approx(6.0)
+    m.drop_constraints(1)
+    assert m.num_constrs == 1
+    assert solve_lp(m).objective == pytest.approx(9.0)
+    m.set_objective({a: 3.0, b: 1.0})
+    assert solve_lp(m).objective == pytest.approx(13.0)
+    m.set_objective({a: 3.0, b: 1.0}, sense="min")
+    assert solve_lp(m).objective == pytest.approx(0.0)
+    c = m.add_var("c", lb=1.0, ub=2.0)
+    m.set_objective({c: 1.0})
+    assert solve_lp(m).objective == pytest.approx(1.0)
+
+
+def test_bound_overrides_on_one_model_match_fresh_models():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(6):
+        m = random_milp(rng, 5)
+        binaries = m.binary_ids
+        m.add_constr({binaries[0]: 1.0, binaries[1]: 1.0}, GE, 1.0)
+        rows = list(itertools.product((0.0, 1.0), repeat=len(binaries)))
+        rng.shuffle(rows)
+        for bits in rows + rows[:5]:
+            fixed = {vid: (b, b) for vid, b in zip(binaries, bits)}
+            hot = solve_lp(m, fixed)
+            fresh = LinearModel(sense=m.obj_sense)
+            fresh.variables, fresh.constraints = m.variables, m.constraints
+            fresh.objective = m.objective
+            cold = solve_lp(fresh, fixed)
+            seen.add(hot.status)
+            assert hot.status == cold.status
+            if cold.status == OPTIMAL:
+                assert hot.objective == pytest.approx(
+                    cold.objective, abs=1e-9 * (1 + abs(cold.objective)))
+    assert seen == {OPTIMAL, INFEASIBLE}
+
+
+def test_time_limit_bounds_every_polish_round_together():
+    m = LinearModel(sense="max")
+    binaries = [m.add_var(f"b{i}", binary=True) for i in range(6)]
+    m.set_objective({v: 1.0 for v in binaries})
+    assignments = itertools.product((0, 1), repeat=len(binaries))
+    round_s, limit = 0.08, 0.3
+    budgets = []
+
+    def stub(model, cfg):
+        # Uses up its budget, a round at most, and claims one more than
+        # the assignment is worth, so polishing rejects every claim.
+        budgets.append(cfg.time_limit)
+        time.sleep(min(cfg.time_limit, round_s))
+        bits = next(assignments)
+        return MilpSolution(OPTIMAL, sum(bits) + 1.0,
+                            {v: float(b) for v, b in zip(binaries, bits)})
+
+    t0 = time.perf_counter()
+    sol = lp_core._solve_polished(m, MilpConfig(time_limit=limit), stub)
+    wall = time.perf_counter() - t0
+    assert sol.status == TIME_LIMIT
+    assert wall <= limit + round_s + 0.1
+    assert limit - 0.05 < budgets[0] <= limit
+    assert all(b2 < b1 for b1, b2 in zip(budgets, budgets[1:]))
+    assert m.num_constrs == 0
+
+
 def test_validate_rejects_dangling_ids():
     m = LinearModel()
     m.add_var("a")
     m.add_constr({5: 1.0}, LE, 1.0)
     with pytest.raises(ValueError, match="unknown id"):
         m.validate()
+
+
+def test_validate_rejects_non_finite_data():
+    m = LinearModel()
+    a = m.add_var("a")
+    m.add_constr({a: math.nan}, LE, 1.0, name="bad")
+    with pytest.raises(ValueError, match="non-finite coefficient in bad"):
+        m.validate()
+    m = LinearModel()
+    a = m.add_var("a")
+    m.add_constr({a: 1.0}, GE, math.inf, name="bad")
+    with pytest.raises(ValueError, match="non-finite rhs in bad"):
+        solve_lp(m)
+    m = LinearModel()
+    a = m.add_var("a")
+    m.set_objective({a + 1: 1.0})
+    with pytest.raises(ValueError, match="objective references unknown id"):
+        solve_milp(m)

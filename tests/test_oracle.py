@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from edgemarket.lp_core import MilpConfig
 from edgemarket.model import leader_profit
+from edgemarket.reform_dual import solve_p2
 from edgemarket.oracle import (OracleResult, brute_force_bilevel, compare,
                                _candidate_count)
 
@@ -85,3 +87,20 @@ def test_compare_statuses():
     none = OracleResult(None, None, None, 4)
     assert compare(none, None, milp_status="infeasible").passed
     assert not compare(none, 1.0, milp_status="optimal").passed
+
+
+def test_oracle_matches_p2_closely_on_tiny_seeds():
+    """The oracle pins each follower at its exact optimal cost, so its
+    ground truth agrees with P2 far inside the comparison tolerance."""
+    mismatches = []
+    for seed in range(20):
+        inst = tiny_instance(seed)
+        p2 = solve_p2(inst, MilpConfig(backend="highs"))
+        oracle = brute_force_bilevel(inst, keep_log=False)
+        if not oracle.feasible:
+            if p2.status != "infeasible":
+                mismatches.append((seed, None, p2.status))
+        elif p2.status != "optimal" or abs(oracle.profit - p2.objective) > \
+                1e-8 * (1 + abs(oracle.profit)):
+            mismatches.append((seed, oracle.profit, p2.objective))
+    assert not mismatches, mismatches

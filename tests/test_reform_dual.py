@@ -1,9 +1,12 @@
 """Duality reformulation (P2): structure, oracle and P1 agreement,
 revenue integrity and bilevel certification."""
 
+import time
+
 import numpy as np
 import pytest
 
+from edgemarket import lp_core, reform_dual, reform_kkt
 from edgemarket.lp_core import MilpConfig
 from edgemarket.model import leader_profit
 from edgemarket.oracle import brute_force_bilevel, compare
@@ -108,3 +111,29 @@ def test_p2_embedded_backend_agrees():
     bnb = solve_p2(inst, MilpConfig(backend="bnb"))
     assert bnb.status == highs.status == "optimal"
     assert bnb.objective == pytest.approx(highs.objective, abs=1e-6)
+
+
+@pytest.mark.parametrize("module, solve", [(reform_kkt, solve_p1),
+                                           (reform_dual, solve_p2)])
+def test_time_limit_bounds_all_escalations(monkeypatch, module, solve):
+    """A solve that uses up its whole budget leaves none for a big-M
+    escalation: the call ends within the limit plus one round."""
+    real = lp_core._solve_milp_highs
+    rounds = []
+
+    def slow(m, cfg):
+        t0 = time.perf_counter()
+        sol = real(m, cfg)
+        rounds.append(cfg.time_limit)
+        time.sleep(max(0.0, cfg.time_limit - (time.perf_counter() - t0)))
+        return sol
+
+    monkeypatch.setattr(lp_core, "_solve_milp_highs", slow)
+    monkeypatch.setattr(module, "validate_bigM", lambda *args: ["forced"])
+    limit = 0.5
+    t0 = time.perf_counter()
+    res = solve(tiny_instance(0), MilpConfig(backend="highs", time_limit=limit))
+    wall = time.perf_counter() - t0
+    assert res.status == "time-limit"
+    assert len(rounds) == 1
+    assert wall <= 2 * limit
