@@ -250,10 +250,13 @@ def _diagnose_infeasibility(ctx: FollowerContext) -> str:
 def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution]:
     """Solve one follower LP and recover a full set of multipliers.
 
-    The duals come from solving the explicit dual LP; the sign-free
-    helper multipliers (zeta, eps) are then recomputed as the exact
-    slacks of the corresponding dual rows so the stationarity identities
-    hold to machine precision.
+    The multipliers are the primal solve's row duals. HiGHS gives a
+    ``<=`` row of this minimisation a non-positive dual, so the one-sided
+    multipliers are their negations, clipped at 0 against round-off;
+    ``xi`` and ``sigma`` are the equality rows' duals as they stand. The
+    multipliers without a row of their own (tau, zeta, eps) are then
+    computed as the exact slacks of the corresponding dual rows, so the
+    stationarity identities hold to machine precision.
     """
     inst, k = ctx.inst, ctx.k
     M, N = inst.num_aps, inst.num_ens
@@ -262,30 +265,27 @@ def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution
     if psol.status != lp_core.OPTIMAL:
         raise FollowerInfeasibleError(k, _diagnose_infeasibility(ctx))
     lay = FollowerLayout(M, N)
+    x = psol.x
     fs = FollowerSolution(
-        x_cloud=np.array([psol.values[lay.x_cloud(i)] for i in range(M)]),
-        x_edge=np.array([[psol.values[lay.x_edge(i, j)] for j in range(N)]
-                         for i in range(M)]),
-        y_cloud=psol.values[lay.y_cloud()],
-        y_edge=np.array([psol.values[lay.y_edge(j)] for j in range(N)]),
-        avg_delay=np.array([psol.values[lay.avg_delay(i)] for i in range(M)]),
+        x_cloud=x[[lay.x_cloud(i) for i in range(M)]],
+        x_edge=x[[[lay.x_edge(i, j) for j in range(N)] for i in range(M)]],
+        y_cloud=float(x[lay.y_cloud()]),
+        y_edge=x[[lay.y_edge(j) for j in range(N)]],
+        avg_delay=x[[lay.avg_delay(i) for i in range(M)]],
         cost=psol.objective,
     )
-    dual = build_follower_dual(ctx)
-    dsol = lp_core.solve_lp(dual)
-    if dsol.status != lp_core.OPTIMAL:
-        raise RuntimeError(f"follower {k} dual LP not solved: {dsol.status}")
-    dl = DualLayout(M, N)
-    xi = np.array([dsol.values[dl.xi(i)] for i in range(M)])
-    sigma = np.array([dsol.values[dl.sigma(i)] for i in range(M)])
-    tau = np.array([dsol.values[dl.tau(i)] for i in range(M)])
-    mu1 = dsol.values[dl.mu1()]
-    mu2 = dsol.values[dl.mu2()]
-    lam = np.array([dsol.values[dl.lam(j)] for j in range(N)])
-    gamma = np.array([dsol.values[dl.gamma(j)] for j in range(N)])
-    eta = np.array([[dsol.values[dl.eta(i, j)] for j in range(N)]
-                    for i in range(M)])
+    dual = dict(zip((c.name for c in primal.constraints),
+                    psol.constraint_duals.tolist()))
+    xi = np.array([dual[f"bal_{i}"] for i in range(M)])
+    sigma = np.array([dual[f"ddef_{i}"] for i in range(M)])
+    mu1 = max(0.0, -dual["cov0"])
+    mu2 = max(0.0, -dual["budget"])
+    lam = np.maximum(0.0, [-dual[f"cov_{j}"] for j in range(N)])
+    gamma = np.maximum(0.0, [-dual[f"cap_{j}"] for j in range(N)])
+    eta = np.maximum(0.0, [[-dual[f"elig_{i}_{j}"] for j in range(N)]
+                           for i in range(M)])
     w = inst.delay_weight[k]
+    tau = np.maximum(0.0, -inst.demand[:, k] * sigma)
     zeta = np.maximum(0.0, w * inst.delay_cloud - xi - sigma * inst.delay_cloud + mu1)
     eps = np.maximum(0.0, w * inst.delay_edge - xi[:, None]
                      - sigma[:, None] * inst.delay_edge + lam[None, :] + eta)

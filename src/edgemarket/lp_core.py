@@ -15,10 +15,17 @@ writer and a solution importer bridge to external solvers.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import heapq
 import itertools
+import logging
 import math
+import os
+import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -37,6 +44,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 GAP_LIMIT = "gap-limit"
 TIME_LIMIT = "time-limit"
+
+_log = logging.getLogger("edgemarket")
 
 
 @dataclass
@@ -566,6 +575,34 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
                         relative_gap=gap, nodes_explored=nodes, wall_time=wall)
 
 
+@functools.cache
+def _libc() -> ctypes.CDLL:
+    return ctypes.CDLL(None)
+
+
+@contextlib.contextmanager
+def _stdout_to_log():
+    """Point file descriptor 1 at a temporary file for the block, then
+    log what landed there at DEBUG. HiGHS's MIP solver writes some
+    messages to stdout even with its output switched off. C's stdout
+    buffer is flushed before fd 1 is restored, so none of it lands on
+    the real stdout later."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    with tempfile.TemporaryFile() as sink:
+        os.dup2(sink.fileno(), 1)
+        try:
+            yield
+        finally:
+            sys.stdout.flush()
+            _libc().fflush(None)
+            os.dup2(saved, 1)
+            os.close(saved)
+        sink.seek(0)
+        for line in sink.read().decode(errors="replace").splitlines():
+            _log.debug("HiGHS: %s", line)
+
+
 def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     t0 = time.perf_counter()
     cm = m._compiled_form()
@@ -580,8 +617,10 @@ def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         options["time_limit"] = cfg.time_limit
     if cfg.node_limit is not None:
         options["node_limit"] = cfg.node_limit
-    res = sopt.milp(cm.c, constraints=constraints, integrality=integrality,
-                    bounds=sopt.Bounds(cm.col_lo, cm.col_hi), options=options)
+    with _stdout_to_log():
+        res = sopt.milp(cm.c, constraints=constraints, integrality=integrality,
+                        bounds=sopt.Bounds(cm.col_lo, cm.col_hi),
+                        options=options)
     wall = time.perf_counter() - t0
     if res.status == 2:
         return MilpSolution(INFEASIBLE, math.nan, wall_time=wall)
@@ -589,7 +628,12 @@ def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         return MilpSolution(UNBOUNDED, sign * math.inf, wall_time=wall)
     if res.x is None:
         return MilpSolution(TIME_LIMIT, math.nan, wall_time=wall)
-    gap = float(res.mip_gap) if res.mip_gap is not None else 0.0
+    # Relative to max(1, |objective|), as the embedded backend and the
+    # polishing check measure it: HiGHS's own mip_gap divides by the
+    # objective alone and blows up near an objective of 0.
+    bound = getattr(res, "mip_dual_bound", None)
+    gap = (0.0 if bound is None
+           else abs(res.fun - bound) / max(1.0, abs(res.fun)))
     status = OPTIMAL if res.status == 0 else TIME_LIMIT
     if status == OPTIMAL and gap > cfg.gap_tol * (1 + 1e-9):
         status = GAP_LIMIT

@@ -2,15 +2,18 @@
 candidate log and status-aware comparison."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from edgemarket.follower import (FollowerContext, FollowerInfeasibleError,
+                                 solve_follower)
 from edgemarket.lp_core import MilpConfig
 from edgemarket.model import leader_profit
 from edgemarket.reform_dual import solve_p2
 from edgemarket.oracle import (OracleResult, brute_force_bilevel, compare,
-                               _candidate_count)
+                               _candidate_count, _placements, _SecondStage)
 
 from conftest import tiny_instance
 
@@ -104,3 +107,51 @@ def test_oracle_matches_p2_closely_on_tiny_seeds():
                 1e-8 * (1 + abs(oracle.profit)):
             mismatches.append((seed, oracle.profit, p2.objective))
     assert not mismatches, mismatches
+
+
+def _cold_log(inst):
+    """Every candidate's profit or infeasibility verdict, solved cold:
+    fresh follower LPs with the placement in their capacity rows, and a
+    fresh second-stage model per candidate."""
+    N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
+    out = {}
+    for levels in itertools.product(range(V), repeat=N):
+        prices = np.array([inst.price_grid[j, levels[j]] for j in range(N)])
+        for z, t, placed in _placements(inst):
+            key = (levels, z, t)
+            costs = []
+            for k in range(K):
+                try:
+                    fs, _ = solve_follower(
+                        FollowerContext(inst, k, prices, placed[:, k]))
+                except FollowerInfeasibleError:
+                    out[key] = f"follower {k} infeasible"
+                    break
+                costs.append(fs.cost)
+            else:
+                stage2 = _SecondStage(inst, prices).solve(placed, costs)
+                out[key] = (
+                    "no follower-optimal profile fits capacity"
+                    if stage2 is None else
+                    stage2[0] - float(np.asarray(z, float) @ inst.fixed_cost)
+                    - float((inst.placement_cost * placed).sum()))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7, 13])
+def test_hot_resolves_match_cold_solves(seed):
+    """The oracle re-solves one model per price vector under changed
+    column bounds; each candidate must come out as it does solved cold."""
+    inst = tiny_instance(seed)
+    res = brute_force_bilevel(inst)
+    assert len(res.log) == res.candidates_examined
+    hot = {(e["levels"], e["z"], e["t"]): e.get("profit", e.get("infeasible"))
+           for e in res.log}
+    cold = _cold_log(inst)
+    assert hot.keys() == cold.keys()
+    for key, want in cold.items():
+        got = hot[key]
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, key
+        else:
+            assert abs(got - want) <= 1e-9 * (1 + abs(want)), (key, got, want)

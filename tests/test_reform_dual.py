@@ -1,6 +1,7 @@
 """Duality reformulation (P2): structure, oracle and P1 agreement,
 revenue integrity and bilevel certification."""
 
+import logging
 import time
 
 import numpy as np
@@ -51,6 +52,17 @@ def test_p2_matches_p1():
         if r1.status == "optimal":
             assert r2.objective == pytest.approx(
                 r1.objective, abs=1e-6 * (1 + abs(r1.objective)))
+
+
+def test_highs_output_kept_off_stdout(capfd, caplog):
+    """HiGHS's MIP solver prints a line to stdout on this solve, even
+    with its output switched off; it goes to the log instead."""
+    with caplog.at_level(logging.DEBUG, logger="edgemarket"):
+        res = solve_p2(tiny_instance(8), CFG)
+    assert res.status == "optimal"
+    out, _ = capfd.readouterr()
+    assert out == ""
+    assert any("HighsMipSolverData" in r.getMessage() for r in caplog.records)
 
 
 def test_p2_detects_infeasible_instance():

@@ -50,7 +50,9 @@ def test_bigm_check_rejects_nonpositive():
                 m_lin=1).check()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 4, 5])
+# Seed 177's optimum is 0, where HiGHS's own relative gap (divided by
+# the objective alone) read 0.23 and the solve was labelled gap-limit.
+@pytest.mark.parametrize("seed", [0, 1, 2, 4, 5, 177])
 def test_p1_matches_oracle(seed):
     inst = tiny_instance(seed)
     res = solve_p1(inst, CFG)
