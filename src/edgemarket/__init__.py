@@ -16,9 +16,7 @@ from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision,
                     ScalingFactors, follower_cost, leader_profit,
                     scale_instance, validate_instance)
 from .oracle import OracleResult, brute_force_bilevel, compare
-from .price_grid import (PriceGridSpec, binary_expansion_bits,
-                         discretize_range, level_from_bits)
-from .reform_dual import (P2Layout, build_p2, extract_solution_p2, solve_p2,
+from .reform_dual import (build_p2, extract_solution_p2, solve_p2,
                           verify_bilevel_optimality)
 from .reform_kkt import (BigMSet, build_p1, derive_bigM, extract_solution_p1,
                          solve_p1, validate_bigM)

@@ -1,25 +1,41 @@
 """Shared machinery for the two single-level MILP reformulations.
 
-Both P1 (KKT-based) and P2 (duality-based) contain the same core: leader
-constraints, per-service primal feasibility, the price-times-multiplier
-and placement-times-multiplier product linearizations, and the
-strong-duality revenue variables. The two builders differ only in how
-they certify follower optimality (complementarity switches vs dual
-feasibility rows).
+P1 (KKT-based) and P2 (duality-based) embed the same follower LP and
+differ only in how they certify its optimality: complementarity
+switches or a strong-duality equality. Each row family is written once:
+
+- ``build_base``: the leader rows, the ``r * mu2`` and ``t * Gamma``
+  product linearizations and the strong-duality revenue rows, with each
+  service's primal rows from ``follower.add_follower_rows``;
+- ``add_dual_rows``: each service's dual rows, as equalities in P1
+  (stationarity) and as ``<=`` rows in P2 (dual feasibility);
+- ``solve_reformulation``: the build, solve, extract, validate and
+  big-M escalation loop behind ``solve_p1`` and ``solve_p2``.
+
+The reference code the reformulations are tested against writes its
+rows separately on purpose, so that no fault in these shared writers
+can hide from the tests: ``follower.build_follower_dual``, the oracle's
+``_SecondStage``, ``analytic.solve_single_en`` and the benchmark's
+``perfbench/checker.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .lp_core import LE, EQ, GE, LinearModel, MilpSolution
+from . import lp_core
+from .follower import FollowerColumns, add_follower_rows
+from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision,
                     leader_profit, follower_cost)
 from .tolerances import TOL
+
+if TYPE_CHECKING:
+    from .reform_kkt import BigMSet
 
 
 class IntegrityError(Exception):
@@ -186,38 +202,13 @@ def build_base(inst: Instance, m_lin: float, name: str,
     # variable in place of the bilinear price*procurement term.
     for k in range(K):
         w = inst.delay_weight[k]
-        for i in range(M):
-            coeffs = {lay.x_cloud[i, k]: 1.0}
-            for j in range(N):
-                coeffs[lay.x_edge[i, j, k]] = 1.0
-            m.add_constr(coeffs, EQ, inst.demand[i, k], name=f"bal_{i}_{k}")
-        coeffs = {lay.x_cloud[i, k]: 1.0 for i in range(M)}
-        coeffs[lay.y_cloud[k]] = -1.0
-        m.add_constr(coeffs, LE, 0.0, name=f"cov0_{k}")
-        for j in range(N):
-            coeffs = {lay.x_edge[i, j, k]: 1.0 for i in range(M)}
-            coeffs[lay.y_edge[j, k]] = -1.0
-            m.add_constr(coeffs, LE, 0.0, name=f"cov_{j}_{k}")
-        for j in range(N):
-            m.add_constr({lay.y_edge[j, k]: 1.0,
-                          lay.t[j, k]: -inst.compute_cap[j]}, LE, 0.0,
-                         name=f"cap_{j}_{k}")
-        for i in range(M):
-            for j in range(N):
-                m.add_constr({lay.x_edge[i, j, k]: 1.0}, LE,
-                             inst.eligible[i, j, k] * inst.demand[i, k],
-                             name=f"elig_{i}_{j}_{k}")
-        for i in range(M):
-            coeffs = {lay.x_cloud[i, k]: inst.delay_cloud[i]}
-            for j in range(N):
-                coeffs[lay.x_edge[i, j, k]] = inst.delay_edge[i, j]
-            coeffs[lay.avg_delay[i, k]] = -inst.demand[i, k]
-            m.add_constr(coeffs, EQ, 0.0, name=f"ddef_{i}_{k}")
-        for i in range(M):
-            m.add_constr({lay.avg_delay[i, k]: 1.0}, LE, inst.delay_cap[k],
-                         name=f"dcap_{i}_{k}")
-        m.add_constr({lay.rev[k]: 1.0, lay.y_cloud[k]: inst.cloud_price},
-                     LE, inst.budget[k], name=f"budget_{k}")
+        cols = FollowerColumns(
+            x0=[lay.x_cloud[i, k] for i in range(M)],
+            x=[[lay.x_edge[i, j, k] for j in range(N)] for i in range(M)],
+            y0=lay.y_cloud[k], y=[lay.y_edge[j, k] for j in range(N)],
+            da=[lay.avg_delay[i, k] for i in range(M)],
+            rev=lay.rev[k], t=[lay.t[j, k] for j in range(N)])
+        add_follower_rows(m, inst, k, cols, prices=None, placed=None)
 
         # pi[j,v,k] = r[j,v] * mu2[k]
         for j in range(N):
@@ -264,6 +255,43 @@ def build_base(inst: Instance, m_lin: float, name: str,
         obj[lay.z[j]] = -inst.fixed_cost[j]
     m.set_objective(obj)
     return m, lay
+
+
+def add_dual_rows(m: LinearModel, inst: Instance, lay: MilpLayout, k: int,
+                  sense: str) -> None:
+    """Write service ``k``'s dual rows into ``m``, one per primal column
+    in the order ``y0, y_j, da_i, x0_i, x_ij``, in the ``<=`` form of
+    ``build_follower_dual``. ``sense`` is EQ for P1's stationarity and LE
+    for P2's dual feasibility. EN j's price enters its ``y_j`` row as
+    ``p_j (1 + mu2) = sum_v pg[j,v] (r[j,v] + pi[j,v,k])``, exact over the
+    one-hot price selection."""
+    M, N, V = inst.num_aps, inst.num_ens, inst.num_price_levels
+    w = inst.delay_weight[k]
+    m.add_constr({lay.mu1[k]: 1.0, lay.mu2[k]: -inst.cloud_price},
+                 sense, inst.cloud_price, name=f"dy0_{k}")
+    for j in range(N):
+        coeffs = {lay.lam[j, k]: 1.0, lay.gamma[j, k]: -1.0}
+        for v in range(V):
+            pg = inst.price_grid[j, v]
+            coeffs[lay.pi[j, v, k]] = -pg
+            coeffs[lay.r[j, v]] = -pg
+        m.add_constr(coeffs, sense, 0.0, name=f"dy_{j}_{k}")
+    for i in range(M):
+        m.add_constr({lay.sigma[i, k]: -inst.demand[i, k],
+                      lay.tau[i, k]: -1.0}, sense, 0.0, name=f"dda_{i}_{k}")
+    for i in range(M):
+        m.add_constr({lay.xi[i, k]: 1.0,
+                      lay.sigma[i, k]: inst.delay_cloud[i],
+                      lay.mu1[k]: -1.0, lay.zeta[i, k]: 1.0},
+                     sense, w * inst.delay_cloud[i], name=f"dx0_{i}_{k}")
+    for i in range(M):
+        for j in range(N):
+            m.add_constr({lay.xi[i, k]: 1.0,
+                          lay.sigma[i, k]: inst.delay_edge[i, j],
+                          lay.lam[j, k]: -1.0, lay.eta[i, j, k]: -1.0,
+                          lay.eps[i, j, k]: 1.0},
+                         sense, w * inst.delay_edge[i, j],
+                         name=f"dx_{i}_{j}_{k}")
 
 
 def _rounded_binary(sol: MilpSolution, vid: int, name: str) -> int:
@@ -336,3 +364,51 @@ def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
                 f"profit recomputation mismatch: model {sol.objective}, "
                 f"first-principles {profit}")
     return ld, followers, duals
+
+
+@dataclass
+class ReformResult:
+    """Outcome of a full build/solve/extract/validate cycle. ``flags``
+    holds the big-M flags that caused each escalation, in order."""
+
+    status: str
+    objective: Optional[float]
+    leader: Optional[LeaderDecision]
+    followers: Optional[List[FollowerSolution]]
+    duals: Optional[List[DualSolution]]
+    milp: MilpSolution
+    bigm: BigMSet
+    escalations: int
+    flags: List[str]
+
+
+MAX_ESCALATIONS = 3
+
+
+def solve_reformulation(build: Callable, extract: Callable,
+                        validate: Callable, bigm: BigMSet,
+                        config: Optional[MilpConfig]) -> ReformResult:
+    """Build, solve, extract and validate one reformulation, escalating
+    the big-M constants tenfold (at most ``MAX_ESCALATIONS`` times) while
+    ``validate`` flags one. ``build(bigm)`` returns ``(model, layout)``,
+    ``extract(layout, sol)`` the decision objects and ``validate(layout,
+    sol, bigm)`` the flags. ``config.time_limit`` bounds the whole call,
+    escalations included."""
+    config = config or MilpConfig()
+    until = lp_core.deadline(config)
+    flags: List[str] = []
+    for escalation in range(MAX_ESCALATIONS + 1):
+        model, lay = build(bigm)
+        sol = lp_core.solve_milp(model, lp_core.time_left(config, until))
+        if sol.status not in (lp_core.OPTIMAL, lp_core.GAP_LIMIT):
+            return ReformResult(sol.status, None, None, None, None, sol,
+                                bigm, escalation, flags)
+        leader, followers, duals = extract(lay, sol)
+        binding = validate(lay, sol, bigm)
+        if not binding:
+            return ReformResult(sol.status, sol.objective, leader, followers,
+                                duals, sol, bigm, escalation, flags)
+        flags += binding
+        bigm = bigm.scaled(10.0)
+    raise RuntimeError("reformulation unsound: big-M constants still binding "
+                       f"after {MAX_ESCALATIONS} escalations: {binding}")

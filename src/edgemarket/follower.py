@@ -2,19 +2,25 @@
 strong-duality / complementarity checks both reformulations rest on.
 
 Given fixed prices and placement, each service solves a small LP that
-splits its workload between the cloud and the ENs hosting it.
+splits its workload between the cloud and the ENs hosting it. Its
+primal rows are written by ``add_follower_rows`` alone, for the follower
+LP here (constant prices and placement) and for both MILPs (prices
+through the revenue column, placement through the binaries ``t``).
+``build_follower_dual`` writes the dual on its own, apart from the
+MILPs' ``_milp_base.add_dual_rows``, because it is the reference the
+multipliers are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import lp_core
-from .lp_core import LE, EQ, GE, LinearModel
+from .lp_core import LE, EQ, LinearModel
 from .model import DualSolution, FollowerSolution, Instance
 from .tolerances import TOL
 
@@ -46,28 +52,90 @@ class FollowerContext:
             raise ValueError("prices/placed must have one entry per EN")
 
 
-class FollowerLayout:
-    """Deterministic variable ids of the follower primal LP."""
+@dataclass(frozen=True)
+class FollowerColumns:
+    """Column ids of one service's primal variables in a model. In the
+    MILP the service also has its revenue column ``rev`` and its
+    placement binaries ``t``; the follower LP has neither."""
 
-    def __init__(self, M: int, N: int):
-        self.M, self.N = M, N
+    x0: Sequence[int]              # (M,) cloud allocation per AP
+    x: Sequence[Sequence[int]]     # (M, N) edge allocation
+    y0: int                        # cloud procurement
+    y: Sequence[int]               # (N,) edge procurement
+    da: Sequence[int]              # (M,) average delay per AP
+    rev: Optional[int] = None
+    t: Optional[Sequence[int]] = None
 
-    def x_cloud(self, i): return i
-    def x_edge(self, i, j): return self.M + i * self.N + j
-    def y_cloud(self): return self.M + self.M * self.N
-    def y_edge(self, j): return self.M + self.M * self.N + 1 + j
-    def avg_delay(self, i): return self.M + self.M * self.N + 1 + self.N + i
+    @classmethod
+    def follower_lp(cls, M: int, N: int) -> "FollowerColumns":
+        """The follower LP's ids: x0, x, y0, y, da in that order."""
+        y0 = M + M * N
+        return cls(x0=list(range(M)),
+                   x=[list(range(M + i * N, M + (i + 1) * N))
+                      for i in range(M)],
+                   y0=y0, y=list(range(y0 + 1, y0 + 1 + N)),
+                   da=list(range(y0 + 1 + N, y0 + 1 + N + M)))
+
+
+def add_follower_rows(m: LinearModel, inst: Instance, k: int,
+                      cols: FollowerColumns,
+                      prices: Optional[np.ndarray],
+                      placed: Optional[np.ndarray]) -> None:
+    """Write service ``k``'s primal feasibility rows into ``m``, in the
+    order ``bal, cov0, cov, cap, elig, ddef, dcap, budget``.
+
+    ``prices`` are constant edge prices, which put ``prices @ y`` into the
+    budget row; without them the revenue column ``cols.rev`` stands for
+    that spend. ``placed`` is a constant 0/1 placement, which gives the
+    capacity row the right-hand side ``cap * placed``; without it the
+    placement binaries enter the row as ``-cap * t``.
+    """
+    M, N = inst.num_aps, inst.num_ens
+    for i in range(M):
+        coeffs = {cols.x0[i]: 1.0}
+        for j in range(N):
+            coeffs[cols.x[i][j]] = 1.0
+        m.add_constr(coeffs, EQ, inst.demand[i, k], name=f"bal_{i}_{k}")
+    coeffs = {cols.x0[i]: 1.0 for i in range(M)}
+    coeffs[cols.y0] = -1.0
+    m.add_constr(coeffs, LE, 0.0, name=f"cov0_{k}")
+    for j in range(N):
+        coeffs = {cols.x[i][j]: 1.0 for i in range(M)}
+        coeffs[cols.y[j]] = -1.0
+        m.add_constr(coeffs, LE, 0.0, name=f"cov_{j}_{k}")
+    for j in range(N):
+        cap = inst.compute_cap[j]
+        if placed is None:
+            m.add_constr({cols.y[j]: 1.0, cols.t[j]: -cap}, LE, 0.0,
+                         name=f"cap_{j}_{k}")
+        else:
+            m.add_constr({cols.y[j]: 1.0}, LE, cap * placed[j],
+                         name=f"cap_{j}_{k}")
+    for i in range(M):
+        for j in range(N):
+            m.add_constr({cols.x[i][j]: 1.0}, LE,
+                         inst.eligible[i, j, k] * inst.demand[i, k],
+                         name=f"elig_{i}_{j}_{k}")
+    for i in range(M):
+        coeffs = {cols.x0[i]: inst.delay_cloud[i]}
+        for j in range(N):
+            coeffs[cols.x[i][j]] = inst.delay_edge[i, j]
+        coeffs[cols.da[i]] = -inst.demand[i, k]
+        m.add_constr(coeffs, EQ, 0.0, name=f"ddef_{i}_{k}")
+    for i in range(M):
+        m.add_constr({cols.da[i]: 1.0}, LE, inst.delay_cap[k],
+                     name=f"dcap_{i}_{k}")
+    spend = ({cols.rev: 1.0} if prices is None
+             else {cols.y[j]: prices[j] for j in range(N)})
+    m.add_constr({cols.y0: inst.cloud_price, **spend}, LE, inst.budget[k],
+                 name=f"budget_{k}")
 
 
 def build_follower_lp(ctx: FollowerContext) -> LinearModel:
-    """Cost-minimization LP of one service for fixed prices/placement.
-
-    The delay cap is folded into the upper bound of the average-delay
-    variables; everything else is an explicit row.
-    """
+    """Cost-minimization LP of one service for fixed prices/placement."""
     inst, k = ctx.inst, ctx.k
     M, N = inst.num_aps, inst.num_ens
-    lay = FollowerLayout(M, N)
+    cols = FollowerColumns.follower_lp(M, N)
     m = LinearModel(name=f"follower{k}", sense="min")
     for i in range(M):
         m.add_var(f"x0_{i}")
@@ -78,46 +146,17 @@ def build_follower_lp(ctx: FollowerContext) -> LinearModel:
     for j in range(N):
         m.add_var(f"y_{j}")
     for i in range(M):
-        m.add_var(f"da_{i}", ub=float(inst.delay_cap[k]))
-
-    for i in range(M):
-        coeffs = {lay.x_cloud(i): 1.0}
-        for j in range(N):
-            coeffs[lay.x_edge(i, j)] = 1.0
-        m.add_constr(coeffs, EQ, inst.demand[i, k], name=f"bal_{i}")
-    m.add_constr({**{lay.x_cloud(i): 1.0 for i in range(M)},
-                  lay.y_cloud(): -1.0}, LE, 0.0, name="cov0")
-    for j in range(N):
-        coeffs = {lay.x_edge(i, j): 1.0 for i in range(M)}
-        coeffs[lay.y_edge(j)] = -1.0
-        m.add_constr(coeffs, LE, 0.0, name=f"cov_{j}")
-    for j in range(N):
-        m.add_constr({lay.y_edge(j): 1.0}, LE,
-                     inst.compute_cap[j] * ctx.placed[j], name=f"cap_{j}")
-    for i in range(M):
-        for j in range(N):
-            m.add_constr({lay.x_edge(i, j): 1.0}, LE,
-                         inst.eligible[i, j, k] * inst.demand[i, k],
-                         name=f"elig_{i}_{j}")
-    budget = {lay.y_cloud(): inst.cloud_price}
-    for j in range(N):
-        budget[lay.y_edge(j)] = ctx.prices[j]
-    m.add_constr(budget, LE, inst.budget[k], name="budget")
-    for i in range(M):
-        coeffs = {lay.x_cloud(i): inst.delay_cloud[i]}
-        for j in range(N):
-            coeffs[lay.x_edge(i, j)] = inst.delay_edge[i, j]
-        coeffs[lay.avg_delay(i)] = -inst.demand[i, k]
-        m.add_constr(coeffs, EQ, 0.0, name=f"ddef_{i}")
+        m.add_var(f"da_{i}")
+    add_follower_rows(m, inst, k, cols, prices=ctx.prices, placed=ctx.placed)
 
     w = inst.delay_weight[k]
-    obj = {lay.y_cloud(): inst.cloud_price}
+    obj = {cols.y0: inst.cloud_price}
     for j in range(N):
-        obj[lay.y_edge(j)] = ctx.prices[j]
+        obj[cols.y[j]] = ctx.prices[j]
     for i in range(M):
-        obj[lay.x_cloud(i)] = w * inst.delay_cloud[i]
+        obj[cols.x0[i]] = w * inst.delay_cloud[i]
         for j in range(N):
-            obj[lay.x_edge(i, j)] = w * inst.delay_edge[i, j]
+            obj[cols.x[i][j]] = w * inst.delay_edge[i, j]
     m.set_objective(obj)
     return m
 
@@ -213,30 +252,22 @@ _FAMILY_OF_PREFIX = {"bal": "demand balance", "cov": "procurement coverage",
 
 def _diagnose_infeasibility(ctx: FollowerContext) -> str:
     """Minimize total elastic violation and name the worst family."""
-    inst, k = ctx.inst, ctx.k
-    M, N = inst.num_aps, inst.num_ens
     base = build_follower_lp(ctx)
-    lay = FollowerLayout(M, N)
-    delay_ids = {lay.avg_delay(i) for i in range(M)}
-    m = LinearModel(name=f"follower{k}_elastic", sense="min")
+    m = LinearModel(name=f"follower{ctx.k}_elastic", sense="min")
     for v in base.variables:
-        # The delay-cap bound is lifted into an elastic row below.
-        m.add_var(v.name, v.lb, math.inf if v.vid in delay_ids else v.ub)
-    rows = [(c.coeffs, c.sense, c.rhs, c.name) for c in base.constraints]
-    rows += [({lay.avg_delay(i): 1.0}, LE, inst.delay_cap[k], f"dcap_{i}")
-             for i in range(M)]
+        m.add_var(v.name, v.lb, v.ub)
     slacks = []
-    for ridx, (coeffs, sense, rhs, name) in enumerate(rows):
-        family = _FAMILY_OF_PREFIX[name.split("_")[0]]
-        coeffs = dict(coeffs)
+    for ridx, c in enumerate(base.constraints):
+        family = _FAMILY_OF_PREFIX[c.name.split("_")[0]]
+        coeffs = dict(c.coeffs)
         sid = m.add_var(f"slack_{ridx}")
-        coeffs[sid] = -1.0 if sense in (LE, EQ) else 1.0
-        if sense == EQ:
+        coeffs[sid] = -1.0 if c.sense in (LE, EQ) else 1.0
+        if c.sense == EQ:
             sid2 = m.add_var(f"slack2_{ridx}")
             coeffs[sid2] = 1.0
             slacks.append((sid2, family))
         slacks.append((sid, family))
-        m.add_constr(coeffs, sense, rhs, name=name)
+        m.add_constr(coeffs, c.sense, c.rhs, name=c.name)
     m.set_objective({sid: 1.0 for sid, _ in slacks})
     sol = lp_core.solve_lp(m)
     if sol.status != lp_core.OPTIMAL:
@@ -264,25 +295,25 @@ def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution
     psol = lp_core.solve_lp(primal)
     if psol.status != lp_core.OPTIMAL:
         raise FollowerInfeasibleError(k, _diagnose_infeasibility(ctx))
-    lay = FollowerLayout(M, N)
+    cols = FollowerColumns.follower_lp(M, N)
     x = psol.x
     fs = FollowerSolution(
-        x_cloud=x[[lay.x_cloud(i) for i in range(M)]],
-        x_edge=x[[[lay.x_edge(i, j) for j in range(N)] for i in range(M)]],
-        y_cloud=float(x[lay.y_cloud()]),
-        y_edge=x[[lay.y_edge(j) for j in range(N)]],
-        avg_delay=x[[lay.avg_delay(i) for i in range(M)]],
+        x_cloud=x[cols.x0],
+        x_edge=x[cols.x],
+        y_cloud=float(x[cols.y0]),
+        y_edge=x[cols.y],
+        avg_delay=x[cols.da],
         cost=psol.objective,
     )
     dual = dict(zip((c.name for c in primal.constraints),
                     psol.constraint_duals.tolist()))
-    xi = np.array([dual[f"bal_{i}"] for i in range(M)])
-    sigma = np.array([dual[f"ddef_{i}"] for i in range(M)])
-    mu1 = max(0.0, -dual["cov0"])
-    mu2 = max(0.0, -dual["budget"])
-    lam = np.maximum(0.0, [-dual[f"cov_{j}"] for j in range(N)])
-    gamma = np.maximum(0.0, [-dual[f"cap_{j}"] for j in range(N)])
-    eta = np.maximum(0.0, [[-dual[f"elig_{i}_{j}"] for j in range(N)]
+    xi = np.array([dual[f"bal_{i}_{k}"] for i in range(M)])
+    sigma = np.array([dual[f"ddef_{i}_{k}"] for i in range(M)])
+    mu1 = max(0.0, -dual[f"cov0_{k}"])
+    mu2 = max(0.0, -dual[f"budget_{k}"])
+    lam = np.maximum(0.0, [-dual[f"cov_{j}_{k}"] for j in range(N)])
+    gamma = np.maximum(0.0, [-dual[f"cap_{j}_{k}"] for j in range(N)])
+    eta = np.maximum(0.0, [[-dual[f"elig_{i}_{j}_{k}"] for j in range(N)]
                            for i in range(M)])
     w = inst.delay_weight[k]
     tau = np.maximum(0.0, -inst.demand[:, k] * sigma)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import lp_core
-from .follower import FollowerContext, FollowerLayout, build_follower_lp
+from .follower import FollowerColumns, FollowerContext, build_follower_lp
 # Unused here, but perfbench/spans.py wraps ``oracle.solve_follower``.
 from .follower import solve_follower  # noqa: F401
 from .lp_core import LE, EQ, LinearModel
@@ -62,8 +62,7 @@ class _FollowerCosts:
         open_all = np.ones(N, dtype=int)
         self.lps = [build_follower_lp(FollowerContext(inst, k, prices, open_all))
                     for k in range(inst.num_services)]
-        lay = FollowerLayout(inst.num_aps, N)
-        self.y_edge = [lay.y_edge(j) for j in range(N)]
+        self.y_edge = FollowerColumns.follower_lp(inst.num_aps, N).y
         self.cache: Dict[Tuple[int, tuple], Optional[float]] = {}
 
     def cost(self, k: int, placed_k: tuple) -> Optional[float]:

@@ -17,61 +17,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from . import lp_core
-from ._milp_base import MilpLayout, build_base, extract_solution
+from ._milp_base import (IntegrityError, MilpLayout, ReformResult,
+                         add_dual_rows, build_base, extract_solution,
+                         solve_reformulation)
 from .follower import FollowerContext, FollowerInfeasibleError, solve_follower
 from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
-from .reform_kkt import (MAX_ESCALATIONS, BigMSet, ReformResult, derive_bigM,
-                         validate_bigM)
+from .reform_kkt import BigMSet, derive_bigM, validate_bigM
 from .tolerances import TOL
-
-P2Layout = MilpLayout
 
 
 def build_p2(inst: Instance, m_lin: Optional[float] = None,
              flat: bool = False, fix_price_level: Optional[int] = None,
-             ) -> Tuple[LinearModel, P2Layout]:
+             ) -> Tuple[LinearModel, MilpLayout]:
     """Leader block plus, per service: primal feasibility, dual
     feasibility, strong duality, and the revenue product expansion."""
     if m_lin is None:
         m_lin = derive_bigM(inst).m_lin
-    M, N, K, V = (inst.num_aps, inst.num_ens, inst.num_services,
-                  inst.num_price_levels)
+    N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
     m, lay = build_base(inst, m_lin, "p2", flat=flat,
                         fix_price_level=fix_price_level)
 
     for k in range(K):
-        w = inst.delay_weight[k]
         # Dual feasibility; p(1+mu2) expanded over the one-hot selection.
-        for j in range(N):
-            coeffs = {lay.lam[j, k]: 1.0, lay.gamma[j, k]: -1.0}
-            for v in range(V):
-                pg = inst.price_grid[j, v]
-                coeffs[lay.pi[j, v, k]] = -pg
-                coeffs[lay.r[j, v]] = -pg
-            m.add_constr(coeffs, LE, 0.0, name=f"d2y_{j}_{k}")
-        m.add_constr({lay.mu1[k]: 1.0, lay.mu2[k]: -inst.cloud_price},
-                     LE, inst.cloud_price, name=f"d2y0_{k}")
-        for i in range(M):
-            m.add_constr({lay.sigma[i, k]: -inst.demand[i, k],
-                          lay.tau[i, k]: -1.0}, LE, 0.0,
-                         name=f"d2da_{i}_{k}")
-        for i in range(M):
-            for j in range(N):
-                m.add_constr({lay.xi[i, k]: 1.0,
-                              lay.sigma[i, k]: inst.delay_edge[i, j],
-                              lay.lam[j, k]: -1.0, lay.eta[i, j, k]: -1.0,
-                              lay.eps[i, j, k]: 1.0}, LE,
-                             w * inst.delay_edge[i, j],
-                             name=f"d2x_{i}_{j}_{k}")
-        for i in range(M):
-            m.add_constr({lay.xi[i, k]: 1.0,
-                          lay.sigma[i, k]: inst.delay_cloud[i],
-                          lay.mu1[k]: -1.0, lay.zeta[i, k]: 1.0}, LE,
-                         w * inst.delay_cloud[i], name=f"d2x0_{i}_{k}")
+        add_dual_rows(m, inst, lay, k, LE)
 
         # h[j,v,k] = r[j,v] * y[j,k]; y <= C makes C an exact box.
         for j in range(N):
@@ -94,14 +63,13 @@ def build_p2(inst: Instance, m_lin: Optional[float] = None,
     return m, lay
 
 
-def extract_solution_p2(inst: Instance, lay: P2Layout, sol: MilpSolution,
+def extract_solution_p2(inst: Instance, lay: MilpLayout, sol: MilpSolution,
                         ) -> Tuple[LeaderDecision, List[FollowerSolution],
                                    List[DualSolution]]:
     ld, followers, duals = extract_solution(inst, lay, sol)
     for k in range(inst.num_services):
         direct = float(ld.price @ followers[k].y_edge)
         if abs(sol.values[lay.rev[k]] - direct) > 1e-6 * (1.0 + abs(direct)):
-            from ._milp_base import IntegrityError
             raise IntegrityError(
                 f"revenue variable for service {k} is {sol.values[lay.rev[k]]}"
                 f" but price @ y gives {direct}")
@@ -151,24 +119,12 @@ def verify_bilevel_optimality(inst: Instance, ld: LeaderDecision,
 def solve_p2(inst: Instance, config: Optional[MilpConfig] = None,
              bigm: Optional[BigMSet] = None, flat: bool = False,
              fix_price_level: Optional[int] = None) -> ReformResult:
-    """Solve P2 with the derived linearization constant, escalating it
-    tenfold (at most three times) if it turns out binding.
-    ``config.time_limit`` bounds the whole call, escalations included."""
-    bigm = bigm or derive_bigM(inst)
-    config = config or MilpConfig()
-    until = lp_core.deadline(config)
-    for escalation in range(MAX_ESCALATIONS + 1):
-        model, lay = build_p2(inst, bigm.m_lin, flat=flat,
-                              fix_price_level=fix_price_level)
-        sol = lp_core.solve_milp(model, lp_core.time_left(config, until))
-        if sol.status not in (lp_core.OPTIMAL, lp_core.GAP_LIMIT):
-            return ReformResult(sol.status, None, None, None, None, sol,
-                                bigm, escalation, [])
-        leader, followers, duals = extract_solution_p2(inst, lay, sol)
-        flags = validate_bigM(inst, lay, sol, bigm)
-        if not flags:
-            return ReformResult(sol.status, sol.objective, leader, followers,
-                                duals, sol, bigm, escalation, [])
-        bigm = bigm.scaled(10.0)
-    raise RuntimeError("reformulation unsound: linearization constant still "
-                       f"binding after {MAX_ESCALATIONS} escalations: {flags}")
+    """Solve P2 with the derived linearization constant through
+    solve_reformulation. ``config.time_limit`` bounds the whole call,
+    escalations included."""
+    return solve_reformulation(
+        lambda b: build_p2(inst, b.m_lin, flat=flat,
+                           fix_price_level=fix_price_level),
+        lambda lay, sol: extract_solution_p2(inst, lay, sol),
+        lambda lay, sol, b: validate_bigM(inst, lay, sol, b),
+        bigm or derive_bigM(inst), config)

@@ -9,15 +9,14 @@ products are expanded over the one-hot price selection.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import lp_core
-from ._milp_base import (IntegrityError, MilpLayout, build_base,
-                         extract_solution, multiplier_bounds)
+from ._milp_base import (MilpLayout, ReformResult, add_dual_rows,
+                         build_base, extract_solution, multiplier_bounds,
+                         solve_reformulation)
 from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
 
@@ -98,33 +97,8 @@ def build_p1(inst: Instance, bigm: BigMSet, flat: bool = False,
     mu2_max, unit_max, tau_max = multiplier_bounds(inst, bigm.m_lin)
 
     for k in range(K):
-        w = inst.delay_weight[k]
-        # Stationarity, written in the dual sign convention.
-        m.add_constr({lay.mu1[k]: 1.0, lay.mu2[k]: -inst.cloud_price},
-                     EQ, inst.cloud_price, name=f"staty0_{k}")
-        for j in range(N):
-            coeffs = {lay.lam[j, k]: 1.0, lay.gamma[j, k]: -1.0}
-            for v in range(inst.num_price_levels):
-                pg = inst.price_grid[j, v]
-                coeffs[lay.pi[j, v, k]] = -pg
-                coeffs[lay.r[j, v]] = -pg
-            m.add_constr(coeffs, EQ, 0.0, name=f"staty_{j}_{k}")
-        for i in range(M):
-            m.add_constr({lay.sigma[i, k]: inst.demand[i, k],
-                          lay.tau[i, k]: 1.0}, EQ, 0.0, name=f"statda_{i}_{k}")
-        for i in range(M):
-            m.add_constr({lay.xi[i, k]: 1.0,
-                          lay.sigma[i, k]: inst.delay_cloud[i],
-                          lay.mu1[k]: -1.0, lay.zeta[i, k]: 1.0},
-                         EQ, w * inst.delay_cloud[i], name=f"statx0_{i}_{k}")
-        for i in range(M):
-            for j in range(N):
-                m.add_constr({lay.xi[i, k]: 1.0,
-                              lay.sigma[i, k]: inst.delay_edge[i, j],
-                              lay.lam[j, k]: -1.0, lay.eta[i, j, k]: -1.0,
-                              lay.eps[i, j, k]: 1.0},
-                             EQ, w * inst.delay_edge[i, j],
-                             name=f"statx_{i}_{j}_{k}")
+        # Stationarity: the follower's dual rows as equalities.
+        add_dual_rows(m, inst, lay, k, EQ)
 
         # Complementarity switches: switch = 1 frees the slack side and
         # zeroes the multiplier side.
@@ -263,45 +237,14 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     return flags
 
 
-@dataclass
-class ReformResult:
-    """Outcome of a full build/solve/extract/validate cycle."""
-
-    status: str
-    objective: Optional[float]
-    leader: Optional[LeaderDecision]
-    followers: Optional[List[FollowerSolution]]
-    duals: Optional[List[DualSolution]]
-    milp: MilpSolution
-    bigm: BigMSet
-    escalations: int
-    flags: List[str]
-
-
-MAX_ESCALATIONS = 3
-
-
 def solve_p1(inst: Instance, config: Optional[MilpConfig] = None,
              bigm: Optional[BigMSet] = None, flat: bool = False,
              fix_price_level: Optional[int] = None) -> ReformResult:
-    """Derive big-M constants, solve P1, and escalate the constants
-    tenfold (at most three times) if any turns out binding.
+    """Derive big-M constants and solve P1 through solve_reformulation.
     ``config.time_limit`` bounds the whole call, escalations included."""
-    bigm = bigm or derive_bigM(inst)
-    config = config or MilpConfig()
-    until = lp_core.deadline(config)
-    for escalation in range(MAX_ESCALATIONS + 1):
-        model, lay = build_p1(inst, bigm, flat=flat,
-                              fix_price_level=fix_price_level)
-        sol = lp_core.solve_milp(model, lp_core.time_left(config, until))
-        if sol.status not in (lp_core.OPTIMAL, lp_core.GAP_LIMIT):
-            return ReformResult(sol.status, None, None, None, None, sol,
-                                bigm, escalation, [])
-        leader, followers, duals = extract_solution_p1(inst, lay, sol)
-        flags = validate_bigM(inst, lay, sol, bigm)
-        if not flags:
-            return ReformResult(sol.status, sol.objective, leader, followers,
-                                duals, sol, bigm, escalation, [])
-        bigm = bigm.scaled(10.0)
-    raise RuntimeError("reformulation unsound: big-M constants still binding "
-                       f"after {MAX_ESCALATIONS} escalations: {flags}")
+    return solve_reformulation(
+        lambda b: build_p1(inst, b, flat=flat,
+                           fix_price_level=fix_price_level),
+        lambda lay, sol: extract_solution_p1(inst, lay, sol),
+        lambda lay, sol, b: validate_bigM(inst, lay, sol, b),
+        bigm or derive_bigM(inst), config)

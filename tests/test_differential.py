@@ -31,3 +31,20 @@ def test_p1_p2_oracle_agree(seed):
         assert abs(res.objective - oracle.profit) <= \
             TOL.objective_match_rel * (1 + abs(oracle.profit)), \
             (solve.__name__, res.objective, oracle.profit)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(20, 10**6))
+def test_p2_bnb_oracle_agree(seed):
+    """P2 on the embedded branch-and-bound backend finds the oracle's
+    optimum, or finds the instance infeasible with it."""
+    inst = tiny_instance(seed)
+    oracle = brute_force_bilevel(inst, keep_log=False)
+    res = solve_p2(inst, MilpConfig(backend="bnb"))
+    if not oracle.feasible:
+        assert res.status == "infeasible", res.status
+        return
+    assert res.status == "optimal", res.status
+    assert abs(res.objective - oracle.profit) <= \
+        TOL.objective_match_rel * (1 + abs(oracle.profit)), \
+        (res.objective, oracle.profit)

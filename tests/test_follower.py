@@ -29,8 +29,8 @@ def test_lp_dimensions_minimal_case():
     m = build_follower_lp(ctx)
     # x0, x, y0, y, da
     assert m.num_vars == 5
-    # bal, cov0, cov, cap, elig, budget, ddef (delay cap is a bound)
-    assert m.num_constrs == 7
+    # bal, cov0, cov, cap, elig, ddef, dcap, budget
+    assert m.num_constrs == 8
 
 
 def test_primal_dual_agreement():

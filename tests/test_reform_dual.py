@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgemarket import lp_core, reform_dual, reform_kkt
+from edgemarket._milp_base import MAX_ESCALATIONS
 from edgemarket.lp_core import MilpConfig
 from edgemarket.model import leader_profit
 from edgemarket.oracle import brute_force_bilevel, compare
@@ -149,3 +150,37 @@ def test_time_limit_bounds_all_escalations(monkeypatch, module, solve):
     assert res.status == "time-limit"
     assert len(rounds) == 1
     assert wall <= 2 * limit
+
+
+@pytest.mark.parametrize("module, solve", [(reform_kkt, solve_p1),
+                                           (reform_dual, solve_p2)])
+def test_escalation_keeps_its_flags(monkeypatch, module, solve):
+    """The flags that caused an escalation are reported with the result."""
+    answers = [["forced"]]
+    monkeypatch.setattr(module, "validate_bigM",
+                        lambda *args: answers.pop() if answers else [])
+    res = solve(tiny_instance(0), CFG)
+    assert res.status == "optimal"
+    assert res.escalations == 1
+    assert res.flags == ["forced"]
+
+
+@pytest.mark.parametrize("module, solve, build", [
+    (reform_kkt, solve_p1, "build_p1"), (reform_dual, solve_p2, "build_p2")])
+def test_escalation_gives_up_after_max(monkeypatch, module, solve, build):
+    """Constants still flagged after the last escalation raise, naming
+    the flag, after one build per escalation plus the first."""
+    real = getattr(module, build)
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, build, counting)
+    monkeypatch.setattr(module, "validate_bigM", lambda *args: ["forced"])
+    with pytest.raises(RuntimeError, match=(
+            r"^reformulation unsound: big-M constants still binding after "
+            rf"{MAX_ESCALATIONS} escalations: \['forced'\]$")):
+        solve(tiny_instance(0), CFG)
+    assert len(builds) == MAX_ESCALATIONS + 1
