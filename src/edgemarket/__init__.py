@@ -18,8 +18,7 @@ from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision,
 from .oracle import OracleResult, brute_force_bilevel, compare
 from .reform_dual import (build_p2, extract_solution_p2, solve_p2,
                           verify_bilevel_optimality)
-from .reform_kkt import (BigMSet, build_p1, derive_bigM, extract_solution_p1,
-                         solve_p1, validate_bigM)
+from .reform_kkt import build_p1, extract_solution_p1, solve_p1, validate_bigM
 from .scenario import (Graph, ScenarioConfig, generate_topology,
                        sample_instance, shortest_path_delays)
 from .tolerances import TOL, Tolerances

@@ -12,6 +12,14 @@ switches or a strong-duality equality. Each row family is written once:
 - ``solve_reformulation``: the build, solve, extract, validate and
   big-M escalation loop behind ``solve_p1`` and ``solve_p2``.
 
+This module owns the big-M constants, whose only inputs are the
+instance and the multiplier scale ``m_lin``: ``M_LIN`` is the starting
+scale, ``multiplier_bounds`` turns a scale into bounds per multiplier
+family, ``validate_bigM`` checks the returned point against them, and
+``solve_reformulation`` raises only ``m_lin`` when a bound binds. P1's
+slack-side constants are exact data bounds, written by
+``reform_kkt.build_p1``.
+
 The reference code the reformulations are tested against writes its
 rows separately on purpose, so that no fault in these shared writers
 can hide from the tests: ``follower.build_follower_dual``, the oracle's
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +41,6 @@ from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision,
                     leader_profit, follower_cost)
 from .tolerances import TOL
-
-if TYPE_CHECKING:
-    from .reform_kkt import BigMSet
 
 
 class IntegrityError(Exception):
@@ -80,6 +85,9 @@ class MilpLayout:
     omega: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
 
 
+M_LIN = 10.0   # starting multiplier scale: ten times each multiplier's unit
+
+
 def multiplier_bounds(inst: Instance, m_lin: float,
                       ) -> Tuple[float, float, float]:
     """Multiplier-side big-M constants for the scale ``m_lin``, each in
@@ -95,6 +103,12 @@ def multiplier_bounds(inst: Instance, m_lin: float,
       average delay: ``unit`` times the largest per-AP demand over the
       longest delay, the rate at which moving an AP's whole demand
       across the delay range trades money for average delay.
+
+    These are not proven bounds: a follower multiplier has no a-priori
+    bound, and a constant that is too small can cut off a better leader
+    decision. ``solve_reformulation`` relies on ``validate_bigM``, which
+    sees only the returned point, and raises ``m_lin`` tenfold when it
+    flags one.
     """
     max_delay = max(float(inst.delay_edge.max(initial=0.0)),
                     float(inst.delay_cloud.max(initial=0.0)), 1.0)
@@ -366,10 +380,66 @@ def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     return ld, followers, duals
 
 
+def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
+                  m_lin: float) -> List[str]:
+    """Flag any multiplier within 1% of its big-M constant.
+
+    Only the multiplier side is checked. The slack-side constants are
+    exact data bounds (see ``reform_kkt.build_p1``), so a slack that
+    reaches one has cut nothing off. A multiplier at its bound may be
+    truncated by it, so callers must re-solve with a larger ``m_lin``
+    when this returns a non-empty list. The check sees only the returned
+    point: a constant that cuts off a better leader decision leaves no
+    trace here. Works for both builders; the switch families are only
+    checked when present.
+
+    Multipliers of vacuous rows (capacity of an unplaced EN, eligibility
+    of a barred pair, rows with zero demand) are costless degenerate rays
+    that the solver may legitimately park at the bound; those are skipped
+    because any value of theirs supports the same optimum.
+    """
+    M, N, K = inst.num_aps, inst.num_ens, inst.num_services
+    mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
+    val = sol.values
+    flags: List[str] = []
+
+    def check(value, limit, label):
+        if value >= 0.99 * limit:
+            flags.append(f"{label}: value {value:.6g} within 1% of M "
+                         f"{limit:.6g}")
+
+    for k in range(K):
+        check(val[lay.mu2[k]], mu2_max, f"mu2[{k}]")
+        placed = [val[lay.t[j, k]] > 0.5 for j in range(N)]
+        for j in range(N):
+            if placed[j]:
+                check(val[lay.gamma[j, k]], unit_max, f"Gamma[{j},{k}]")
+        if not lay.psi:
+            continue
+        for i in range(M):
+            if inst.demand[i, k] > 0:
+                check(val[lay.tau[i, k]], tau_max, f"tau[{i},{k}]")
+                check(val[lay.zeta[i, k]], unit_max, f"zeta[{i},{k}]")
+        check(val[lay.mu1[k]], unit_max, f"mu1[{k}]")
+        for j in range(N):
+            if placed[j]:
+                check(val[lay.lam[j, k]], unit_max, f"lambda[{j},{k}]")
+        for i in range(M):
+            for j in range(N):
+                if (placed[j] and inst.eligible[i, j, k]
+                        and inst.demand[i, k] > 0):
+                    check(val[lay.eta[i, j, k]], unit_max,
+                          f"eta[{i},{j},{k}]")
+                    check(val[lay.eps[i, j, k]], unit_max,
+                          f"eps[{i},{j},{k}]")
+    return flags
+
+
 @dataclass
 class ReformResult:
-    """Outcome of a full build/solve/extract/validate cycle. ``flags``
-    holds the big-M flags that caused each escalation, in order."""
+    """Outcome of a full build/solve/extract/validate cycle. ``m_lin`` is
+    the multiplier scale of the last build; ``flags`` holds the big-M
+    flags that caused each escalation, in order."""
 
     status: str
     objective: Optional[float]
@@ -377,7 +447,7 @@ class ReformResult:
     followers: Optional[List[FollowerSolution]]
     duals: Optional[List[DualSolution]]
     milp: MilpSolution
-    bigm: BigMSet
+    m_lin: float
     escalations: int
     flags: List[str]
 
@@ -386,29 +456,30 @@ MAX_ESCALATIONS = 3
 
 
 def solve_reformulation(build: Callable, extract: Callable,
-                        validate: Callable, bigm: BigMSet,
+                        validate: Callable,
                         config: Optional[MilpConfig]) -> ReformResult:
-    """Build, solve, extract and validate one reformulation, escalating
-    the big-M constants tenfold (at most ``MAX_ESCALATIONS`` times) while
-    ``validate`` flags one. ``build(bigm)`` returns ``(model, layout)``,
-    ``extract(layout, sol)`` the decision objects and ``validate(layout,
-    sol, bigm)`` the flags. ``config.time_limit`` bounds the whole call,
-    escalations included."""
+    """Build, solve, extract and validate one reformulation, starting at
+    the multiplier scale ``M_LIN`` and raising it tenfold (at most
+    ``MAX_ESCALATIONS`` times) while ``validate`` flags a constant.
+    ``build(m_lin)`` returns ``(model, layout)``, ``extract(layout, sol)``
+    the decision objects and ``validate(layout, sol, m_lin)`` the flags.
+    ``config.time_limit`` bounds the whole call, escalations included."""
     config = config or MilpConfig()
     until = lp_core.deadline(config)
+    m_lin = M_LIN
     flags: List[str] = []
     for escalation in range(MAX_ESCALATIONS + 1):
-        model, lay = build(bigm)
+        model, lay = build(m_lin)
         sol = lp_core.solve_milp(model, lp_core.time_left(config, until))
         if sol.status not in (lp_core.OPTIMAL, lp_core.GAP_LIMIT):
             return ReformResult(sol.status, None, None, None, None, sol,
-                                bigm, escalation, flags)
+                                m_lin, escalation, flags)
         leader, followers, duals = extract(lay, sol)
-        binding = validate(lay, sol, bigm)
+        binding = validate(lay, sol, m_lin)
         if not binding:
             return ReformResult(sol.status, sol.objective, leader, followers,
-                                duals, sol, bigm, escalation, flags)
+                                duals, sol, m_lin, escalation, flags)
         flags += binding
-        bigm = bigm.scaled(10.0)
+        m_lin *= 10.0
     raise RuntimeError("reformulation unsound: big-M constants still binding "
                        f"after {MAX_ESCALATIONS} escalations: {binding}")

@@ -18,7 +18,7 @@ from .harness import (AXES, SCHEMES, SchemeSpec, run_scheme,
 from .lp_core import MilpConfig, export_mps, import_solution
 from .model import Instance, validate_instance
 from .reform_dual import build_p2
-from .reform_kkt import build_p1, derive_bigM
+from .reform_kkt import build_p1
 from .scenario import ScenarioConfig, sample_instance
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _cmd_gen(args) -> int:
 
 def _build_milp(inst: Instance, method: str):
     if method == "kkt":
-        return build_p1(inst, derive_bigM(inst))[0]
+        return build_p1(inst)[0]
     if method == "dual":
         return build_p2(inst)[0]
     raise ValueError(f"method {method} has no MILP form")

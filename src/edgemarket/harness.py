@@ -35,15 +35,12 @@ _FACTOR_FIELDS = {"rho": "cloud_price_scale", "lambda": "penalty_scale",
 class SchemeSpec:
     scheme: str = "dyn"
     method: str = "dual"
-    solver: str = "embedded"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.solver not in ("embedded", "external"):
-            raise ValueError(f"unknown solver {self.solver!r}")
         if self.scheme != "dyn" and self.method in ("oracle", "single-en"):
             raise ValueError(f"{self.method} supports only the dyn scheme")
 

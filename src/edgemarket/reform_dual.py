@@ -17,23 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ._milp_base import (IntegrityError, MilpLayout, ReformResult,
+from ._milp_base import (M_LIN, IntegrityError, MilpLayout, ReformResult,
                          add_dual_rows, build_base, extract_solution,
-                         solve_reformulation)
+                         solve_reformulation, validate_bigM)
 from .follower import FollowerContext, FollowerInfeasibleError, solve_follower
 from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
-from .reform_kkt import BigMSet, derive_bigM, validate_bigM
 from .tolerances import TOL
 
 
-def build_p2(inst: Instance, m_lin: Optional[float] = None,
+def build_p2(inst: Instance, m_lin: float = M_LIN,
              flat: bool = False, fix_price_level: Optional[int] = None,
              ) -> Tuple[LinearModel, MilpLayout]:
     """Leader block plus, per service: primal feasibility, dual
-    feasibility, strong duality, and the revenue product expansion."""
-    if m_lin is None:
-        m_lin = derive_bigM(inst).m_lin
+    feasibility, strong duality, and the revenue product expansion.
+
+    ``m_lin`` is the multiplier scale of ``multiplier_bounds``; it sizes
+    only the ``r * mu2`` and ``t * Gamma`` product rows of
+    ``build_base``."""
     N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
     m, lay = build_base(inst, m_lin, "p2", flat=flat,
                         fix_price_level=fix_price_level)
@@ -117,14 +118,15 @@ def verify_bilevel_optimality(inst: Instance, ld: LeaderDecision,
 
 
 def solve_p2(inst: Instance, config: Optional[MilpConfig] = None,
-             bigm: Optional[BigMSet] = None, flat: bool = False,
+             flat: bool = False,
              fix_price_level: Optional[int] = None) -> ReformResult:
-    """Solve P2 with the derived linearization constant through
-    solve_reformulation. ``config.time_limit`` bounds the whole call,
-    escalations included."""
+    """Solve P2 through solve_reformulation, which raises only the
+    multiplier scale of the product rows when ``validate_bigM`` flags a
+    bound. ``config.time_limit`` bounds the whole call, escalations
+    included."""
     return solve_reformulation(
-        lambda b: build_p2(inst, b.m_lin, flat=flat,
-                           fix_price_level=fix_price_level),
+        lambda m_lin: build_p2(inst, m_lin, flat=flat,
+                               fix_price_level=fix_price_level),
         lambda lay, sol: extract_solution_p2(inst, lay, sol),
-        lambda lay, sol, b: validate_bigM(inst, lay, sol, b),
-        bigm or derive_bigM(inst), config)
+        lambda lay, sol, m_lin: validate_bigM(inst, lay, sol, m_lin),
+        config)

@@ -1,8 +1,12 @@
 """Numerical tolerances shared across the package.
 
-All monetary and workload quantities are 64-bit floats. Every tolerance
-used anywhere in the library lives in this one record so there is a
-single place to audit.
+All monetary and workload quantities are 64-bit floats. This record
+holds the tolerances of the cross-checks on integrality, duality, profit
+and agreement between methods. It is not every tolerance in the
+library: ``lp_core._RESIDUAL_TOL``, ``analytic._TOL``,
+``oracle._COST_PIN_SLACK`` and the ``1e-6`` literals in
+``lp_core.import_solution`` and ``reform_dual.extract_solution_p2`` live
+beside the code that reads them.
 """
 
 from dataclasses import dataclass
@@ -10,12 +14,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    feasibility: float = 1e-7          # absolute, constraint satisfaction
-    lp_optimality: float = 1e-9        # reduced-cost / bound certification
     binary_integrality: float = 1e-6   # max |v - round(v)| accepted on binaries
-    complementarity: float = 1e-5      # |multiplier * slack| at an optimum
     strong_duality_rel: float = 1e-6   # primal/dual objective agreement (reports)
-    follower_duality_rel: float = 1e-7 # primal/dual agreement for follower LPs
     profit_recompute_rel: float = 1e-5 # MILP objective vs first-principles profit
     objective_match_rel: float = 1e-6  # cross-method objective agreement
 

@@ -21,8 +21,7 @@ from edgemarket.model import follower_cost
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import (build_p2, solve_p2,
                                     verify_bilevel_optimality)
-from edgemarket.reform_kkt import (build_p1, derive_bigM, solve_p1,
-                                   validate_bigM)
+from edgemarket.reform_kkt import build_p1, solve_p1, validate_bigM
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
 from conftest import TINY_PRICES, tiny_instance
@@ -137,7 +136,7 @@ def test_criterion_03_reformulation_size():
     inst = sample_instance(ScenarioConfig(seed=0))   # M=10, N=4, K=6, V=5
     M, N, K, V = 10, 4, 6, 5
     p2, _ = build_p2(inst)
-    p1, _ = build_p1(inst, derive_bigM(inst))
+    p1, _ = build_p1(inst)
     want_p2 = N * (K + V + 1)
     want_p1 = want_p2 + 2 * K * (M + 1) * (N + 1)
     ok = p2.num_binaries == want_p2 == 48 and p1.num_binaries == want_p1 == 708
@@ -260,8 +259,8 @@ def test_criterion_08_bigm_soundness(tiny_runs):
         if r1.escalations > 1:
             failures.append(f"seed {seed}: {r1.escalations} escalations")
             continue
-        _, lay = build_p1(inst, r1.bigm)
-        flags = validate_bigM(inst, lay, r1.milp, r1.bigm)
+        _, lay = build_p1(inst, r1.m_lin)
+        flags = validate_bigM(inst, lay, r1.milp, r1.m_lin)
         if flags:
             failures.append(f"seed {seed}: {flags[0]}")
     report(8, "no binding big-M after at most one escalation", not failures,

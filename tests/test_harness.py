@@ -28,8 +28,6 @@ def test_scheme_spec_validation():
         SchemeSpec("flat", "oracle")
     with pytest.raises(ValueError):
         SchemeSpec("avg", "single-en")
-    with pytest.raises(ValueError):
-        SchemeSpec("dyn", "dual", solver="bogus")
 
 
 def test_run_scheme_methods_agree():

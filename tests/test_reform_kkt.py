@@ -1,14 +1,17 @@
 """KKT reformulation (P1): structure, big-M machinery, oracle agreement
 and solution extraction integrity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from edgemarket._milp_base import M_LIN
 from edgemarket.lp_core import MilpConfig
-from edgemarket.model import leader_profit
+from edgemarket.model import leader_profit, validate_instance
 from edgemarket.oracle import brute_force_bilevel, compare
-from edgemarket.reform_kkt import (BigMSet, build_p1, derive_bigM,
-                                   extract_solution_p1, solve_p1,
+from edgemarket.reform_dual import solve_p2
+from edgemarket.reform_kkt import (build_p1, extract_solution_p1, solve_p1,
                                    validate_bigM)
 
 from conftest import tiny_instance
@@ -21,33 +24,54 @@ def test_binary_count_formula():
         inst = tiny_instance(seed)
         M, N, K, V = (inst.num_aps, inst.num_ens, inst.num_services,
                       inst.num_price_levels)
-        model, _ = build_p1(inst, derive_bigM(inst))
+        model, _ = build_p1(inst)
         assert model.num_binaries == N * (K + V + 1) \
             + 2 * K * (M + 1) * (N + 1)
 
 
 def test_derive_bigm_dominates_data():
+    """The switch in each slack-side row has its exact data bound as its
+    coefficient."""
     inst = tiny_instance(3)
-    bigm = derive_bigM(inst)
-    bigm.check()
-    assert bigm.m1 >= inst.delay_cap.max()
-    assert bigm.m2 >= inst.demand.sum(axis=0).max()
-    assert bigm.m3 >= inst.compute_cap.max()
-    assert bigm.m6 >= inst.budget.max()
-    assert bigm.m_lin == 10.0   # ten times each multiplier's unit
+    model, _ = build_p1(inst)
+    bounds = {"cc1s": inst.delay_cap.max(),
+              "cc2s": inst.demand.sum(axis=0).max(),
+              "cc3s": inst.compute_cap.max(), "cc6s": inst.budget.max()}
+    seen = set()
+    for row in model.constraints:
+        family = row.name.split("_")[0]
+        if family in bounds:
+            (coef,) = [c for vid, c in row.coeffs.items()
+                       if model.variables[vid].binary]
+            assert coef == -bounds[family], row.name
+            seen.add(family)
+    assert seen == bounds.keys()
 
 
-def test_bigm_scaled():
-    bigm = derive_bigM(tiny_instance(3))
-    bigger = bigm.scaled(10.0)
-    assert bigger.m1 == pytest.approx(10 * bigm.m1)
-    assert bigger.m_lin == pytest.approx(10 * bigm.m_lin)
+def test_escalation_changes_only_multiplier_rows():
+    """Raising the multiplier scale leaves every slack-side row as is."""
+    inst = tiny_instance(0)
+    base, scaled = (build_p1(inst, m)[0].constraints
+                    for m in (M_LIN, 10 * M_LIN))
+    assert [r.name for r in base] == [r.name for r in scaled]
+    families = {a.name.split("_")[0] for a, b in zip(base, scaled) if a != b}
+    assert "cc2m" in families and "piub1" in families
+    # No cc*s (slack-side) row is among them.
+    assert families <= {f"cc{n}m" for n in range(1, 9)} | {
+        "piub1", "pilb", "gub1", "glb"}
 
 
-def test_bigm_check_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        BigMSet(m1=0.0, m2=1, m3=1, m4=1, m5=1, m6=1, m7=1, m8=1,
-                m_lin=1).check()
+@pytest.mark.parametrize("solve", [solve_p1, solve_p2])
+def test_zero_demand_matches_oracle(solve):
+    """With no demand at all, several slack-side bounds are zero; the
+    reformulations still solve and agree with the oracle."""
+    base = tiny_instance(0)
+    inst = dataclasses.replace(base, demand=np.zeros_like(base.demand))
+    assert validate_instance(inst).ok
+    oracle = brute_force_bilevel(inst, keep_log=False)
+    res = solve(inst, CFG)
+    report = compare(oracle, res.objective, res.status)
+    assert report.passed, report
 
 
 # Seed 177's optimum is 0, where HiGHS's own relative gap (divided by
@@ -100,16 +124,15 @@ def test_validate_bigm_clean_at_solution():
     inst = tiny_instance(0)
     res = solve_p1(inst, CFG)
     assert res.escalations == 0
-    model, lay = build_p1(inst, res.bigm)
-    assert validate_bigM(inst, lay, res.milp, res.bigm) == []
+    model, lay = build_p1(inst, res.m_lin)
+    assert validate_bigM(inst, lay, res.milp, res.m_lin) == []
 
 
 def test_validate_bigm_flags_small_constants():
     inst = tiny_instance(0)
     res = solve_p1(inst, CFG)
-    _, lay = build_p1(inst, res.bigm)
-    shrunk = res.bigm.scaled(1e-9)
-    flags = validate_bigM(inst, lay, res.milp, shrunk)
+    _, lay = build_p1(inst, res.m_lin)
+    flags = validate_bigM(inst, lay, res.milp, 1e-9 * res.m_lin)
     assert flags   # everything nonzero is now at/above the tiny constants
 
 
@@ -131,8 +154,7 @@ def test_fixed_price_level_is_respected():
 
 def test_extract_rejects_unsolved():
     inst = tiny_instance(0)
-    bigm = derive_bigM(inst)
-    model, lay = build_p1(inst, bigm)
+    model, lay = build_p1(inst)
     from edgemarket.lp_core import MilpSolution
     with pytest.raises(ValueError):
         extract_solution_p1(inst, lay, MilpSolution("infeasible", float("nan")))
