@@ -103,6 +103,9 @@ def _build_milp(inst: Instance, method: str):
 
 
 def _cmd_solve(args) -> int:
+    if args.solver == "external" and not args.mps_out:
+        raise ValueError("--solver external needs --mps-out: the model is "
+                         "written for the external solver, not solved here")
     inst = _load_instance(args.instance)
     if args.mps_out:
         if args.method not in ("kkt", "dual"):
@@ -119,7 +122,7 @@ def _cmd_solve(args) -> int:
         print(f"imported solution: status {sol.status}, "
               f"objective {sol.objective:.9g}")
         return EXIT_OK if sol.status == lp_core.OPTIMAL else EXIT_INFEASIBLE
-    if args.mps_out and args.solver == "external":
+    if args.solver == "external":
         return EXIT_OK   # model exported; solving happens elsewhere
     config = MilpConfig(gap_tol=args.gap, time_limit=args.time_limit,
                         backend="highs")

@@ -8,9 +8,11 @@ through the bindings bundled with scipy (``scipy.optimize._highspy``):
 the first call hands HiGHS the LP that ``linprog(method="highs")`` did,
 and every later call changes only column bounds, so HiGHS hot-starts
 from the basis it already holds. MILPs are solved with an embedded
-best-first branch-and-bound over those relaxations (``solve_milp``), or
-with HiGHS' own branch-and-bound through ``scipy.optimize.milp``. An MPS
-writer and a solution importer bridge to external solvers.
+best-first branch-and-bound over those relaxations (``solve_milp``),
+which starts each node from its parent's basis and branches on one-hot
+rows as sets, or with HiGHS' own branch-and-bound through
+``scipy.optimize.milp``. An MPS writer and a solution importer bridge to
+external solvers.
 """
 
 from __future__ import annotations
@@ -400,9 +402,16 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     """Solve a binary MILP.
 
     The embedded backend is a deterministic best-first branch-and-bound:
-    nodes ordered by LP-relaxation bound, branching on the most
-    fractional binary with ties broken by lowest variable id. Incumbents
-    must have every binary within the integrality tolerance.
+    nodes ordered by their parent's LP-relaxation bound, ties by creation
+    order. Each node LP starts from its parent's final basis. A node
+    branches on its most fractional binary, ties broken by lowest
+    variable id. When that binary lies in a one-hot row (``=`` 1 over
+    binaries with coefficient 1, such as a price choice), the node splits
+    the row's set where its LP mass crosses one half and each child fixes
+    one side to 0; otherwise the children fix the binary to 0 and to 1.
+    Incumbents must have every binary within the integrality tolerance.
+    A search stopped by ``time_limit`` or ``node_limit`` reports the gap
+    to the best bound of the nodes still open.
 
     Every incumbent is polished: binaries are rounded and the remaining
     LP re-solved with them fixed. A solver may accept binaries that are
@@ -508,41 +517,85 @@ def _most_fractional(x: np.ndarray, binaries: np.ndarray) -> Optional[int]:
     return int(binaries[np.argmax(frac >= best - 1e-12)])
 
 
+def _onehot_sets(cm: _Compiled) -> Dict[int, np.ndarray]:
+    """Map each binary in a one-hot row to that row's columns, in id
+    order; a binary in several takes the first. A one-hot row is an
+    ``=`` 1 row over two or more binaries, each with coefficient 1. In P1
+    and P2 these are the price rows ``onehot_j``."""
+    rows = cm.A.tocsr()
+    is_binary = np.zeros(cm.A.shape[1], bool)
+    is_binary[cm.binary] = True
+    sets: Dict[int, np.ndarray] = {}
+    for r in np.flatnonzero((cm.row_lo == 1.0) & (cm.row_hi == 1.0)):
+        span = slice(rows.indptr[r], rows.indptr[r + 1])
+        cols = np.sort(rows.indices[span])
+        if (len(cols) >= 2 and is_binary[cols].all()
+                and (rows.data[span] == 1.0).all()):
+            for vid in cols.tolist():
+                sets.setdefault(vid, cols)
+    return sets
+
+
+def _children(x: np.ndarray, vid: int,
+              sets: Dict[int, np.ndarray]) -> List[Dict[int, float]]:
+    """The fixings that split a node branching on ``vid``. A binary in a
+    one-hot set splits the set where its LP mass crosses one half, and
+    each child fixes one side to 0 (SOS1 branching, Beale & Tomlin 1970).
+    Each side keeps some of the mass, so neither child can re-solve to
+    the parent's point. Any other binary, or one whose set has mass on
+    fewer than two members, is fixed to 0 and to 1."""
+    members = sets.get(vid)
+    if members is not None:
+        mass = x[members]
+        heavy = np.flatnonzero(mass > TOL.binary_integrality)
+        if len(heavy) >= 2:
+            half = int(np.searchsorted(np.cumsum(mass), 0.5)) + 1
+            cut = min(max(half, heavy[0] + 1), heavy[-1])
+            return [dict.fromkeys(side.tolist(), 0.0)
+                    for side in (members[:cut], members[cut:])]
+    return [{vid: 0.0}, {vid: 1.0}]
+
+
 def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     t0 = time.perf_counter()
     sign = 1.0 if m.obj_sense == "max" else -1.0  # work in max space
-    binaries = m._compiled_form().binary
+    cm = m._compiled_form()
+    binaries, sets = cm.binary, _onehot_sets(cm)
     root = solve_lp(m)
     if root.status in (INFEASIBLE, UNBOUNDED):
         root.nodes_explored = 1
         root.wall_time = time.perf_counter() - t0
         return root
+    highs = cm.highs    # made or kept by the root solve
 
     incumbent: Optional[Dict[int, float]] = None
     incumbent_obj = -math.inf
     nodes = 0
     counter = 0
-    # heap of (-bound_in_max_space, counter, fixings)
-    heap = [(-sign * root.objective, counter, {})]
-    cached_root = root
+    # heap of (-bound_in_max_space, counter, fixings, parent basis)
+    heap = [(-sign * root.objective, counter, {}, None)]
     status = OPTIMAL
 
     while heap:
-        neg_bound, _, fixings = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        neg_bound, _, fixings, basis = entry
         bound = -neg_bound
         if incumbent is not None and bound <= incumbent_obj * (1 + 1e-12) + \
                 cfg.gap_tol * max(1.0, abs(incumbent_obj)):
             break  # best-first: remaining nodes cannot improve past the gap
-        if cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit:
+        out_of_time = (cfg.time_limit is not None
+                       and time.perf_counter() - t0 > cfg.time_limit)
+        if out_of_time or (cfg.node_limit is not None
+                           and nodes >= cfg.node_limit):
             status = TIME_LIMIT
-            break
-        if cfg.node_limit is not None and nodes >= cfg.node_limit:
-            status = TIME_LIMIT
+            heapq.heappush(heap, entry)   # still open, so it bounds the optimum
             break
         nodes += 1
         if nodes == 1 and not fixings:
-            sol = cached_root
+            sol = root
         else:
+            if basis is not None:
+                highs.setBasis(basis)
             sol = solve_lp(m, {vid: (val, val) for vid, val in fixings.items()})
         if sol.status != OPTIMAL:
             continue
@@ -555,11 +608,13 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
             if node_obj > incumbent_obj:
                 incumbent, incumbent_obj = sol.values, node_obj
             continue
-        for val in (0.0, 1.0):
+        basis = highs.getBasis()
+        if not basis.valid:   # an IPM retry may leave no basis
+            basis = None
+        for split in _children(sol.x, vid, sets):
             counter += 1
-            child = dict(fixings)
-            child[vid] = val
-            heapq.heappush(heap, (-node_obj, counter, child))
+            heapq.heappush(heap, (-node_obj, counter, {**fixings, **split},
+                                  basis))
 
     wall = time.perf_counter() - t0
     best_bound = -heap[0][0] if heap else incumbent_obj

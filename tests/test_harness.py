@@ -194,6 +194,17 @@ def test_cli_mps_export_and_import(tmp_path, capsys):
     assert "imported solution" in out
 
 
+def test_cli_external_solver_requires_mps_out(tmp_path, capsys):
+    path = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", "--instance", str(path), "--method", "dual",
+               "--solver", "external"])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert "--mps-out" in err
+    assert out == ""   # nothing was solved or reported
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     rc = main(["sweep", "--axis", "rho", "--values", "1.0",

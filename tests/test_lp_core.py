@@ -193,17 +193,34 @@ def milp_oracle(m):
     return best
 
 
+def add_onehot_rows(rng, m):
+    """One or two disjoint ``=`` 1 rows, each over 3 or more of ``m``'s
+    binaries with coefficient 1, like the price rows of P1 and P2."""
+    free = list(rng.permutation(m.binary_ids))
+    while len(free) >= 3:
+        size = int(rng.integers(3, len(free) + 1))
+        m.add_constr({int(v): 1.0 for v in free[:size]}, EQ, 1.0,
+                     name="onehot")
+        free = free[size:]
+
+
 @functools.lru_cache(maxsize=None)
 def enumeration_cases():
     """50 random MILPs with their enumerated optima, shared by both
-    backends' tests."""
-    rng = np.random.default_rng(42)
+    backends' tests. Every other model gains one-hot rows when it has 3
+    or more binaries; the embedded backend branches on them as sets."""
+    rng, set_rng = np.random.default_rng(42), np.random.default_rng(43)
     models = [random_milp(rng, int(rng.integers(1, 11))) for _ in range(50)]
+    for m in models[1::2]:
+        add_onehot_rows(set_rng, m)
     return tuple((m, milp_oracle(m)) for m in models)
 
 
 @pytest.mark.parametrize("backend", ["bnb", "highs"])
 def test_solve_milp_matches_enumeration(backend):
+    with_sets = [m for m, _ in enumeration_cases()
+                 if lp_core._onehot_sets(m._compiled_form())]
+    assert len(with_sets) >= 15
     mismatches = []
     for trial, (m, oracle) in enumerate(enumeration_cases()):
         sol = solve_milp(m, MilpConfig(backend=backend))
@@ -230,11 +247,31 @@ def test_solve_milp_minimization_sense():
     assert sol.values[b] == pytest.approx(0.0, abs=1e-9)
 
 
+def node_limited_milp():
+    """A MILP whose root relaxation is fractional and whose first
+    incumbent, found at node 2, is not optimal."""
+    rng = np.random.default_rng(11)
+    return [random_milp(rng, int(rng.integers(4, 11))) for _ in range(3)][2]
+
+
 def test_milp_respects_node_limit_status():
-    rng = np.random.default_rng(3)
-    m = random_milp(rng, 10)
-    sol = solve_milp(m, MilpConfig(backend="bnb", node_limit=1))
-    assert sol.status in ("time-limit", OPTIMAL, INFEASIBLE)
+    sol = solve_milp(node_limited_milp(),
+                     MilpConfig(backend="bnb", node_limit=1))
+    assert sol.status == TIME_LIMIT
+    assert sol.nodes_explored == 1
+
+
+def test_node_limit_gap_covers_the_optimum():
+    """The node open when the limit stops the search still bounds the
+    optimum, so the reported gap reaches it."""
+    m = node_limited_milp()
+    sol = solve_milp(m, MilpConfig(backend="bnb", node_limit=2))
+    optimum = milp_oracle(m)
+    assert sol.status == TIME_LIMIT
+    assert sol.nodes_explored == 2
+    assert sol.objective < optimum - 1e-3
+    bound = sol.objective + sol.relative_gap * max(1.0, abs(sol.objective))
+    assert bound >= optimum - 1e-9
 
 
 def test_mps_round_trip_through_import():

@@ -15,6 +15,7 @@ from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import (build_p2, solve_p2,
                                     verify_bilevel_optimality)
 from edgemarket.reform_kkt import solve_p1
+from edgemarket.scenario import ScenarioConfig, sample_instance
 
 from conftest import tiny_instance
 
@@ -120,6 +121,17 @@ def test_scheme_restrictions_nest():
 
 def test_p2_embedded_backend_agrees():
     inst = tiny_instance(1)
+    highs = solve_p2(inst, MilpConfig(backend="highs"))
+    bnb = solve_p2(inst, MilpConfig(backend="bnb"))
+    assert bnb.status == highs.status == "optimal"
+    assert bnb.objective == pytest.approx(highs.objective, abs=1e-6)
+
+
+def test_p2_embedded_backend_agrees_on_three_ens():
+    """Size (4, 3, 2), seed 0: 24 binaries and three one-hot price sets,
+    the mid-size instance where set branching changes the tree most."""
+    inst = sample_instance(ScenarioConfig(seed=0, num_aps=4, num_ens=3,
+                                          num_services=2))
     highs = solve_p2(inst, MilpConfig(backend="highs"))
     bnb = solve_p2(inst, MilpConfig(backend="bnb"))
     assert bnb.status == highs.status == "optimal"
