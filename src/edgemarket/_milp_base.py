@@ -6,7 +6,10 @@ switches or a strong-duality equality. Each row family is written once:
 
 - ``build_base``: the leader rows, the ``r * mu2`` and ``t * Gamma``
   product linearizations and the strong-duality revenue rows, with each
-  service's primal rows from ``follower.add_follower_rows``;
+  service's primal rows from ``follower.add_follower_rows``. Each EN's
+  price choice ``r[j, :]`` is one-hot, so ``r * mu2`` is written as its
+  exact hull: ``mu2`` splits into shares ``pi[j, v]``, one per price
+  level, each boxed by its binary;
 - ``add_dual_rows``: each service's dual rows, as equalities in P1
   (stationarity) and as ``<=`` rows in P2 (dual feasibility);
 - ``solve_reformulation``: the build, solve, extract, validate and
@@ -127,9 +130,17 @@ def build_base(inst: Instance, m_lin: float, name: str,
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
     products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
-    and per-unit bounds it gives. ``flat`` links the price-selection rows
-    across ENs; ``fix_price_level`` pins every EN to one grid level. Both
-    are used by the pricing-scheme harness, not by the plain builders.
+    and per-unit bounds it gives. ``t * Gamma`` takes the three McCormick
+    rows. ``r * mu2`` takes the hull over EN j's one-hot price choice
+    (Balas' disjunctive hull, or RLT with the ``onehot_j`` row):
+    ``pisum``, ``sum_v pi[j,v,k] = mu2[k]``, and ``piub1``,
+    ``pi[j,v,k] <= mu2_max r[j,v]``. It is exact at every integer point
+    and implies the McCormick rows ``pi <= mu2`` and
+    ``mu2 - pi <= mu2_max (1 - r)``, which are not written.
+
+    ``flat`` links the price-selection rows across ENs;
+    ``fix_price_level`` pins every EN to one grid level. Both are used by
+    the pricing-scheme harness, not by the plain builders.
     """
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
     mu2_max, gamma_max, _ = multiplier_bounds(inst, m_lin)
@@ -224,16 +235,16 @@ def build_base(inst: Instance, m_lin: float, name: str,
             rev=lay.rev[k], t=[lay.t[j, k] for j in range(N)])
         add_follower_rows(m, inst, k, cols, prices=None, placed=None)
 
-        # pi[j,v,k] = r[j,v] * mu2[k]
+        # pi[j,v,k] = r[j,v] * mu2[k], as the hull over EN j's one-hot
+        # price choice: mu2 splits across the levels, each share boxed
+        # by its binary.
         for j in range(N):
             for v in range(V):
-                p_id, r_id = lay.pi[j, v, k], lay.r[j, v]
-                m.add_constr({p_id: 1.0, r_id: -mu2_max}, LE, 0.0,
-                             name=f"piub1_{j}_{v}_{k}")
-                m.add_constr({p_id: 1.0, lay.mu2[k]: -1.0}, LE, 0.0,
-                             name=f"piub2_{j}_{v}_{k}")
-                m.add_constr({lay.mu2[k]: 1.0, p_id: -1.0, r_id: mu2_max},
-                             LE, mu2_max, name=f"pilb_{j}_{v}_{k}")
+                m.add_constr({lay.pi[j, v, k]: 1.0, lay.r[j, v]: -mu2_max},
+                             LE, 0.0, name=f"piub1_{j}_{v}_{k}")
+            coeffs = {lay.pi[j, v, k]: 1.0 for v in range(V)}
+            coeffs[lay.mu2[k]] = -1.0
+            m.add_constr(coeffs, EQ, 0.0, name=f"pisum_{j}_{k}")
         # g[j,k] = t[j,k] * gamma[j,k]
         for j in range(N):
             g_id, t_id = lay.g[j, k], lay.t[j, k]

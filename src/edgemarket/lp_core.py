@@ -425,7 +425,9 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     reported as it stands.
 
     ``cfg.time_limit`` bounds the whole call: each polishing round gets
-    only the time left of it.
+    only the time left of it. A round after a no-good cut that runs out
+    of time returns the best polished candidate so far as ``time-limit``,
+    its gap measured to the least bound any round proved.
     """
     cfg = cfg or MilpConfig()
     m.validate()
@@ -445,6 +447,7 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
     binaries = m.binary_ids
     base_rows = m.num_constrs
     best: Optional[MilpSolution] = None   # best exactly-polished candidate
+    bound = math.inf   # least bound any round proved, times ``sign``
     seen = set()
     t0 = time.perf_counter()
     until = deadline(cfg)
@@ -458,9 +461,20 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
             else:
                 sol = solver(m, round_cfg)
             nodes += sol.nodes_explored
+            if sol.values:
+                bound = min(bound, sign * sol.objective + sol.relative_gap
+                            * max(1.0, abs(sol.objective)))
             if sol.status not in (OPTIMAL, GAP_LIMIT):
                 if best is not None and sol.status == INFEASIBLE:
                     break   # only cut assignments remain; fall back to best
+                if best is not None and sol.status == TIME_LIMIT:
+                    # Every cut assignment polished to at most ``best``,
+                    # so the optimum is below max(best, bound).
+                    best.status = TIME_LIMIT
+                    best.relative_gap = (max(0.0, bound - sign * best.objective)
+                                         / max(1.0, abs(best.objective)))
+                    best.nodes_explored = nodes
+                    break
                 sol.nodes_explored = nodes
                 sol.wall_time = time.perf_counter() - t0
                 return sol

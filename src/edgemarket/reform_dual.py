@@ -10,6 +10,12 @@ strong-duality row equates it with the dual objective minus the
 non-revenue part of the follower cost, and a product expansion over the
 one-hot price selection equates it with the actual edge spend. Together
 they force the embedded primal and dual points to be optimal.
+
+The expansion writes each product ``r[j,v] * y[j,k]`` as the exact hull
+over EN j's one-hot price choice: ``y[j,k]`` splits into shares
+``h[j,v,k]``, one per price level, each boxed by ``C_j r[j,v]``. So the
+LP relaxation cannot count one unit of procurement at several price
+levels at once, as McCormick rows per level allow.
 """
 
 from __future__ import annotations
@@ -32,6 +38,13 @@ def build_p2(inst: Instance, m_lin: float = M_LIN,
     """Leader block plus, per service: primal feasibility, dual
     feasibility, strong duality, and the revenue product expansion.
 
+    The expansion is ``revsum``, ``rev[k] = sum_{j,v} pg[j,v] h[j,v,k]``,
+    over the hull of ``h = r * y``: ``hsum``,
+    ``sum_v h[j,v,k] = y[j,k]``, and ``hub1``, ``h[j,v,k] <= C_j r[j,v]``.
+    ``y[j,k] <= C_j`` holds through ``encap``, so the box is exact. The
+    hull implies the McCormick rows ``h <= y`` and
+    ``y - h <= C_j (1 - r)``, which are not written.
+
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; it sizes
     only the ``r * mu2`` and ``t * Gamma`` product rows of
     ``build_base``."""
@@ -43,7 +56,9 @@ def build_p2(inst: Instance, m_lin: float = M_LIN,
         # Dual feasibility; p(1+mu2) expanded over the one-hot selection.
         add_dual_rows(m, inst, lay, k, LE)
 
-        # h[j,v,k] = r[j,v] * y[j,k]; y <= C makes C an exact box.
+        # h[j,v,k] = r[j,v] * y[j,k] as the hull over the one-hot price
+        # choice: y splits across the levels, each share boxed by its
+        # binary; y <= C makes C an exact box.
         for j in range(N):
             cap = inst.compute_cap[j]
             for v in range(V):
@@ -51,11 +66,9 @@ def build_p2(inst: Instance, m_lin: float = M_LIN,
                 lay.h[j, v, k] = h_id
                 m.add_constr({h_id: 1.0, lay.r[j, v]: -cap}, LE, 0.0,
                              name=f"hub1_{j}_{v}_{k}")
-                m.add_constr({h_id: 1.0, lay.y_edge[j, k]: -1.0}, LE, 0.0,
-                             name=f"hub2_{j}_{v}_{k}")
-                m.add_constr({lay.y_edge[j, k]: 1.0, h_id: -1.0,
-                              lay.r[j, v]: cap}, LE, cap,
-                             name=f"hlb_{j}_{v}_{k}")
+            coeffs = {lay.h[j, v, k]: 1.0 for v in range(V)}
+            coeffs[lay.y_edge[j, k]] = -1.0
+            m.add_constr(coeffs, EQ, 0.0, name=f"hsum_{j}_{k}")
         coeffs = {lay.rev[k]: 1.0}
         for j in range(N):
             for v in range(V):

@@ -431,6 +431,22 @@ def test_time_limit_bounds_every_polish_round_together():
     assert m.num_constrs == 0
 
 
+def test_time_limit_after_a_cut_keeps_the_polished_candidate():
+    """A round cut short after a no-good cut returns the best polished
+    candidate, with the gap to the first round's bound of 4.0."""
+    m = LinearModel(sense="max")
+    binaries = [m.add_var(f"b{i}", binary=True) for i in range(3)]
+    m.set_objective({v: 1.0 for v in binaries})
+    rounds = iter([MilpSolution(OPTIMAL, 4.0, {v: 1.0 for v in binaries}),
+                   MilpSolution(TIME_LIMIT, math.nan)])
+    sol = lp_core._solve_polished(m, MilpConfig(), lambda *_: next(rounds))
+    assert sol.status == TIME_LIMIT
+    assert sol.objective == pytest.approx(3.0)
+    assert [sol.values[v] for v in binaries] == [1.0, 1.0, 1.0]
+    assert sol.relative_gap == pytest.approx(1.0 / 3.0)
+    assert m.num_constrs == 0
+
+
 def test_validate_rejects_dangling_ids():
     m = LinearModel()
     m.add_var("a")

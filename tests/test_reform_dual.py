@@ -1,6 +1,7 @@
 """Duality reformulation (P2): structure, oracle and P1 agreement,
 revenue integrity and bilevel certification."""
 
+import ctypes
 import logging
 import time
 
@@ -8,13 +9,13 @@ import numpy as np
 import pytest
 
 from edgemarket import lp_core, reform_dual, reform_kkt
-from edgemarket._milp_base import MAX_ESCALATIONS
-from edgemarket.lp_core import MilpConfig
+from edgemarket._milp_base import MAX_ESCALATIONS, M_LIN, multiplier_bounds
+from edgemarket.lp_core import LE, MilpConfig, solve_lp
 from edgemarket.model import leader_profit
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import (build_p2, solve_p2,
                                     verify_bilevel_optimality)
-from edgemarket.reform_kkt import solve_p1
+from edgemarket.reform_kkt import build_p1, solve_p1
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
 from conftest import tiny_instance
@@ -57,14 +58,66 @@ def test_p2_matches_p1():
 
 
 def test_highs_output_kept_off_stdout(capfd, caplog):
-    """HiGHS's MIP solver prints a line to stdout on this solve, even
-    with its output switched off; it goes to the log instead."""
-    with caplog.at_level(logging.DEBUG, logger="edgemarket"):
-        res = solve_p2(tiny_instance(8), CFG)
+    """What C code prints to stdout inside ``_stdout_to_log`` goes to
+    the log instead, and a P2/HiGHS solve prints nothing to stdout.
+
+    C's stdout is made fully buffered for the block, as it is on a pipe
+    unless Python runs unbuffered, so the line reaches the log only if
+    the block flushes it before restoring fd 1."""
+    libc = lp_core._libc()
+    c_stdout = ctypes.c_void_p.in_dll(libc, "stdout")
+    buf = ctypes.create_string_buffer(8192)
+    libc.setvbuf(c_stdout, buf, 0, len(buf))   # _IOFBF
+    try:
+        with caplog.at_level(logging.DEBUG, logger="edgemarket"):
+            with lp_core._stdout_to_log():
+                libc.printf(b"chatter from C\n")
+    finally:
+        libc.setvbuf(c_stdout, None, 2, 0)     # _IONBF
+    assert capfd.readouterr().out == ""
+    assert [r.getMessage() for r in caplog.records] == [
+        "HiGHS: chatter from C"]
+    res = solve_p2(tiny_instance(8), CFG)
     assert res.status == "optimal"
-    out, _ = capfd.readouterr()
-    assert out == ""
-    assert any("HighsMipSolverData" in r.getMessage() for r in caplog.records)
+    assert capfd.readouterr().out == ""
+
+
+def _add_mccormick_rows(m, inst, lay):
+    """The McCormick rows the hull rows replaced: ``h <= y``,
+    ``y - h <= C (1 - r)``, ``pi <= mu2`` and
+    ``mu2 - pi <= mu2_max (1 - r)``."""
+    mu2_max = multiplier_bounds(inst, M_LIN)[0]
+    for (j, v, k), p in lay.pi.items():
+        r, mu2 = lay.r[j, v], lay.mu2[k]
+        m.add_constr({p: 1.0, mu2: -1.0}, LE, 0.0, name=f"piub2_{j}_{v}_{k}")
+        m.add_constr({mu2: 1.0, p: -1.0, r: mu2_max}, LE, mu2_max,
+                     name=f"pilb_{j}_{v}_{k}")
+    for (j, v, k), h in lay.h.items():
+        r, y, cap = lay.r[j, v], lay.y_edge[j, k], inst.compute_cap[j]
+        m.add_constr({h: 1.0, y: -1.0}, LE, 0.0, name=f"hub2_{j}_{v}_{k}")
+        m.add_constr({y: 1.0, h: -1.0, r: cap}, LE, cap,
+                     name=f"hlb_{j}_{v}_{k}")
+
+
+@pytest.mark.parametrize("build", [build_p1, build_p2])
+def test_hull_rows_imply_the_mccormick_rows(build):
+    """Adding back the McCormick rows of the price products leaves the
+    LP relaxation's optimum where the hull rows put it."""
+    instances = [tiny_instance(s) for s in range(20)]
+    instances.append(sample_instance(ScenarioConfig(
+        seed=0, num_aps=6, num_ens=3, num_services=4)))
+    for inst in instances:
+        hull, _ = build(inst)
+        assert not {r.name.split("_")[0] for r in hull.constraints} & {
+            "hub2", "hlb", "piub2", "pilb"}
+        both, lay = build(inst)
+        _add_mccormick_rows(both, inst, lay)
+        assert both.num_constrs > hull.num_constrs
+        a, b = solve_lp(hull), solve_lp(both)
+        assert a.status == b.status
+        if a.status == "optimal":
+            assert b.objective == pytest.approx(
+                a.objective, rel=1e-9, abs=1e-9)
 
 
 def test_p2_detects_infeasible_instance():

@@ -10,7 +10,7 @@ from edgemarket._milp_base import M_LIN
 from edgemarket.lp_core import MilpConfig
 from edgemarket.model import leader_profit, validate_instance
 from edgemarket.oracle import brute_force_bilevel, compare
-from edgemarket.reform_dual import solve_p2
+from edgemarket.reform_dual import build_p2, solve_p2
 from edgemarket.reform_kkt import (build_p1, extract_solution_p1, solve_p1,
                                    validate_bigM)
 
@@ -49,7 +49,8 @@ def test_derive_bigm_dominates_data():
 
 
 def test_escalation_changes_only_multiplier_rows():
-    """Raising the multiplier scale leaves every slack-side row as is."""
+    """Raising the multiplier scale leaves every slack-side row and every
+    hull sum row as is."""
     inst = tiny_instance(0)
     base, scaled = (build_p1(inst, m)[0].constraints
                     for m in (M_LIN, 10 * M_LIN))
@@ -58,7 +59,13 @@ def test_escalation_changes_only_multiplier_rows():
     assert "cc2m" in families and "piub1" in families
     # No cc*s (slack-side) row is among them.
     assert families <= {f"cc{n}m" for n in range(1, 9)} | {
-        "piub1", "pilb", "gub1", "glb"}
+        "piub1", "gub1", "glb"}
+    p2_base, p2_scaled = (build_p2(inst, m)[0].constraints
+                          for m in (M_LIN, 10 * M_LIN))
+    sums = [(a, b) for a, b in zip(base + p2_base, scaled + p2_scaled)
+            if a.name.split("_")[0] in ("hsum", "pisum")]
+    assert {a.name.split("_")[0] for a, _ in sums} == {"hsum", "pisum"}
+    assert all(a == b for a, b in sums)
 
 
 @pytest.mark.parametrize("solve", [solve_p1, solve_p2])
