@@ -5,13 +5,20 @@ differ only in how they certify its optimality: complementarity
 switches or a strong-duality equality. Each row family is written once:
 
 - ``build_base``: the leader rows, the ``r * mu2`` and ``t * Gamma``
-  product linearizations and the strong-duality revenue rows, with each
-  service's primal rows from ``follower.add_follower_rows``. Each EN's
-  price choice ``r[j, :]`` is one-hot, so ``r * mu2`` is written as its
-  exact hull: ``mu2`` splits into shares ``pi[j, v]``, one per price
+  product linearizations and the dual-side revenue row ``revdef``, with
+  each service's primal rows from ``follower.add_follower_rows``. Each
+  EN's price choice ``r[j, :]`` is one-hot, so ``r * mu2`` is written as
+  its exact hull: ``mu2`` splits into shares ``pi[j, v]``, one per price
   level, each boxed by its binary;
 - ``add_dual_rows``: each service's dual rows, as equalities in P1
   (stationarity) and as ``<=`` rows in P2 (dual feasibility);
+- ``add_revenue_hull``: each service's primal-side revenue, price times
+  procurement, over the same kind of one-hot hull. With ``revdef`` it is
+  the strong-duality equality. Both methods carry it: P2 needs it to
+  certify follower optimality, and in P1, whose switches already
+  certify it, it tightens the LP relaxation to P2's. So a fault in these
+  rows would show in both methods alike; the references below stay
+  independent of them;
 - ``solve_reformulation``: the build, solve, extract, validate and
   big-M escalation loop behind ``solve_p1`` and ``solve_p2``.
 
@@ -126,7 +133,9 @@ def build_base(inst: Instance, m_lin: float, name: str,
                fix_price_level: Optional[int] = None,
                ) -> Tuple[LinearModel, MilpLayout]:
     """Leader block, follower primal feasibility, product linearizations
-    and per-service revenue definitions common to P1 and P2.
+    and the dual-side revenue row ``revdef`` common to P1 and P2. The
+    builders add each service's dual rows and its ``add_revenue_hull``
+    rows after this.
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
     products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
@@ -255,7 +264,8 @@ def build_base(inst: Instance, m_lin: float, name: str,
             m.add_constr({lay.gamma[j, k]: 1.0, g_id: -1.0, t_id: gamma_max},
                          LE, gamma_max, name=f"glb_{j}_{k}")
 
-        # Strong-duality revenue: edge revenue written in dual terms.
+        # revdef: edge revenue written in dual terms. With the rows of
+        # add_revenue_hull it is the strong-duality equality.
         coeffs = {lay.rev[k]: 1.0, lay.y_cloud[k]: inst.cloud_price,
                   lay.mu2[k]: inst.budget[k]}
         for i in range(M):
@@ -319,6 +329,34 @@ def add_dual_rows(m: LinearModel, inst: Instance, lay: MilpLayout, k: int,
                          name=f"dx_{i}_{j}_{k}")
 
 
+def add_revenue_hull(m: LinearModel, inst: Instance, lay: MilpLayout,
+                     k: int) -> None:
+    """Write service ``k``'s revenue as price times procurement:
+    ``revsum``, ``rev[k] = sum_{j,v} pg[j,v] h[j,v,k]``, over the hull of
+    ``h = r * y``: ``hub1``, ``h[j,v,k] <= C_j r[j,v]``, and ``hsum``,
+    ``sum_v h[j,v,k] = y[j,k]``. ``y[j,k] <= C_j`` holds through
+    ``encap``, so the box is exact, and the hull implies the McCormick
+    rows ``h <= y`` and ``y - h <= C_j (1 - r)``, which are not written.
+    With ``revdef`` this is the strong-duality equality."""
+    N, V = inst.num_ens, inst.num_price_levels
+    # y splits across the price levels, each share boxed by its binary.
+    for j in range(N):
+        cap = inst.compute_cap[j]
+        for v in range(V):
+            h_id = m.add_var(f"h_{j}_{v}_{k}")
+            lay.h[j, v, k] = h_id
+            m.add_constr({h_id: 1.0, lay.r[j, v]: -cap}, LE, 0.0,
+                         name=f"hub1_{j}_{v}_{k}")
+        coeffs = {lay.h[j, v, k]: 1.0 for v in range(V)}
+        coeffs[lay.y_edge[j, k]] = -1.0
+        m.add_constr(coeffs, EQ, 0.0, name=f"hsum_{j}_{k}")
+    coeffs = {lay.rev[k]: 1.0}
+    for j in range(N):
+        for v in range(V):
+            coeffs[lay.h[j, v, k]] = -inst.price_grid[j, v]
+    m.add_constr(coeffs, EQ, 0.0, name=f"revsum_{k}")
+
+
 def _rounded_binary(sol: MilpSolution, vid: int, name: str) -> int:
     val = sol.values[vid]
     if abs(val - round(val)) > TOL.binary_integrality:
@@ -329,7 +367,8 @@ def _rounded_binary(sol: MilpSolution, vid: int, name: str) -> int:
 def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
                      ) -> Tuple[LeaderDecision, List[FollowerSolution],
                                 List[DualSolution]]:
-    """Map MILP values back to decision objects and cross-check the profit.
+    """Map MILP values back to decision objects and cross-check the
+    revenue variables against price times procurement, and the profit.
 
     Both builders write their multiplier rows in the explicit-dual sign
     convention, so the extracted multipliers are directly comparable with
@@ -381,6 +420,11 @@ def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
             eps=np.array([[sol.values[lay.eps[i, j, k]] for j in range(N)]
                           for i in range(M)]),
         ))
+        direct = float(ld.price @ fs.y_edge)
+        if abs(sol.values[lay.rev[k]] - direct) > 1e-6 * (1.0 + abs(direct)):
+            raise IntegrityError(
+                f"revenue variable for service {k} is {sol.values[lay.rev[k]]}"
+                f" but price @ y gives {direct}")
     profit = leader_profit(inst, ld, followers)
     if sol.status == "optimal":
         rel = abs(profit - sol.objective) / max(1.0, abs(sol.objective))

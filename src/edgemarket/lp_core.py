@@ -410,8 +410,11 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     the row's set where its LP mass crosses one half and each child fixes
     one side to 0; otherwise the children fix the binary to 0 and to 1.
     Incumbents must have every binary within the integrality tolerance.
-    A search stopped by ``time_limit`` or ``node_limit`` reports the gap
-    to the best bound of the nodes still open.
+    A node whose LP HiGHS leaves unresolved after every retry is split
+    on its first unfixed binary, both children under the parent's bound;
+    only a node with every binary fixed raises. A search stopped by
+    ``time_limit`` or ``node_limit`` reports the gap to the best bound of
+    the nodes still open.
 
     Every incumbent is polished: binaries are rounded and the remaining
     LP re-solved with them fixed. A solver may accept binaries that are
@@ -610,7 +613,22 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         else:
             if basis is not None:
                 highs.setBasis(basis)
-            sol = solve_lp(m, {vid: (val, val) for vid, val in fixings.items()})
+            try:
+                sol = solve_lp(m, {vid: (val, val)
+                                   for vid, val in fixings.items()})
+            except RuntimeError:
+                # HiGHS left this node's LP unresolved. Its subtree may
+                # hold the optimum, so keep it open under the parent's
+                # bound, split on its first free binary.
+                free = next((v for v in binaries.tolist() if v not in fixings),
+                            None)
+                if free is None:
+                    raise
+                for val in (0.0, 1.0):
+                    counter += 1
+                    heapq.heappush(heap, (neg_bound, counter,
+                                          {**fixings, free: val}, basis))
+                continue
         if sol.status != OPTIMAL:
             continue
         node_obj = sign * sol.objective

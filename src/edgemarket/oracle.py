@@ -5,10 +5,16 @@ exactly, resolves follower degeneracy in the leader's favour, and
 evaluates the profit. Ground truth for both MILP reformulations.
 
 Price vectors are enumerated outermost. Under one price vector each LP
-is built once with every EN open: one follower LP per service and one
-second-stage LP. A leader candidate (activation and placement) then
-changes only column bounds, so every LP after the first is a hot
-re-solve of the HiGHS instance its model keeps.
+is built, on its first use, with every EN open: one follower LP per
+service and one second-stage LP. A leader candidate (activation and
+placement) then changes only column bounds, so every LP after the first
+is a hot re-solve of the HiGHS instance its model keeps.
+
+Exact repeats are solved once per call. A follower's cost depends only
+on its placement row and the prices of the ENs it is placed on, and the
+second stage only on the placement and the prices of the ENs that host
+any service; activation does not enter it. Both are memoized on exactly
+those inputs, across price vectors.
 """
 
 from __future__ import annotations
@@ -27,10 +33,6 @@ from .follower import solve_follower  # noqa: F401
 from .lp_core import LE, EQ, LinearModel
 from .model import FollowerSolution, Instance, LeaderDecision
 from .tolerances import TOL
-
-# Slack allowed on the follower-cost pin in the second stage, only when
-# LP round-off makes the exact pin infeasible.
-_COST_PIN_SLACK = 1e-9
 
 
 @dataclass
@@ -51,24 +53,35 @@ def _candidate_count(inst: Instance) -> int:
     return V ** N * 2 ** N * 2 ** (N * K)
 
 
+def _levels_on(levels: tuple, on) -> tuple:
+    """``levels`` with the ENs not in ``on`` masked out: the price levels
+    an LP can see when only the ENs in ``on`` may carry workload."""
+    return tuple(lvl if o else -1 for lvl, o in zip(levels, on))
+
+
 class _FollowerCosts:
     """Optimal follower costs under one price vector. Each service's LP
-    is built once with every EN placed; an unplaced EN is closed by
-    fixing the service's purchase from it to 0, which is the LP with
-    that EN's capacity row at right-hand side 0."""
+    is built on its first use with every EN placed; an unplaced EN is
+    closed by fixing the service's purchase from it to 0, which is the
+    LP with that EN's capacity row at right-hand side 0. So the cost sees
+    only the prices of the placed ENs, and ``cache``, shared across
+    price vectors, is keyed on those levels."""
 
-    def __init__(self, inst: Instance, prices: np.ndarray):
-        N = inst.num_ens
-        open_all = np.ones(N, dtype=int)
-        self.lps = [build_follower_lp(FollowerContext(inst, k, prices, open_all))
-                    for k in range(inst.num_services)]
-        self.y_edge = FollowerColumns.follower_lp(inst.num_aps, N).y
-        self.cache: Dict[Tuple[int, tuple], Optional[float]] = {}
+    def __init__(self, inst: Instance, levels: tuple, prices: np.ndarray,
+                 cache: Dict[tuple, Optional[float]]):
+        self.inst, self.levels, self.prices = inst, levels, prices
+        self.lps: Dict[int, LinearModel] = {}
+        self.y_edge = FollowerColumns.follower_lp(inst.num_aps, inst.num_ens).y
+        self.cache = cache
 
     def cost(self, k: int, placed_k: tuple) -> Optional[float]:
         """Service ``k``'s optimal cost, or None when it is infeasible."""
-        key = (k, placed_k)
+        key = (k, placed_k, _levels_on(self.levels, placed_k))
         if key not in self.cache:
+            if k not in self.lps:
+                open_all = np.ones(self.inst.num_ens, dtype=int)
+                self.lps[k] = build_follower_lp(
+                    FollowerContext(self.inst, k, self.prices, open_all))
             closed = {vid: (0.0, 0.0)
                       for vid, on in zip(self.y_edge, placed_k) if not on}
             sol = lp_core.solve_lp(self.lps[k], closed)
@@ -172,11 +185,6 @@ class _SecondStage:
         bounds.update({vid: (-math.inf, c)
                        for vid, c in zip(self.cost_col, opt_costs)})
         sol = lp_core.solve_lp(self.lp, bounds)
-        if sol.status == lp_core.INFEASIBLE:
-            # The exact pin can be infeasible by LP round-off alone.
-            bounds.update({vid: (-math.inf, c + _COST_PIN_SLACK * (1 + abs(c)))
-                           for vid, c in zip(self.cost_col, opt_costs)})
-            sol = lp_core.solve_lp(self.lp, bounds)
         if sol.status != lp_core.OPTIMAL:
             return None
         return sol.objective, sol.x
@@ -230,11 +238,16 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
     log: List[dict] = []
     best = None  # (profit, sort_key, LeaderDecision, followers)
     examined = 0
+    costs: Dict[tuple, Optional[float]] = {}
+    # Second-stage result by (placement, levels of the hosting ENs).
+    responses: Dict[tuple, Optional[Tuple[float, np.ndarray]]] = {}
+    stage = None
     for levels in itertools.product(range(V), repeat=N):
         prices = np.array([inst.price_grid[j, levels[j]] for j in range(N)])
-        # Only this price vector's K + 1 models are alive at a time.
-        follower = _FollowerCosts(inst, prices)
-        stage = _SecondStage(inst, prices)
+        # At most this price vector's K + 1 models, and the last
+        # second stage built, are alive at a time.
+        follower = _FollowerCosts(inst, levels, prices, costs)
+        stage_here = None
         for z, t_flat, placed in placements:
             examined += 1
             entry = {"levels": levels, "z": z, "t": t_flat}
@@ -247,7 +260,12 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
                     break
                 opt_costs.append(cost)
             if infeasible is None:
-                stage2 = stage.solve(placed, opt_costs)
+                key = (t_flat, _levels_on(levels, placed.any(axis=1)))
+                if key not in responses:
+                    if stage_here is None:
+                        stage = stage_here = _SecondStage(inst, prices)
+                    responses[key] = stage.solve(placed, opt_costs)
+                stage2 = responses[key]
                 if stage2 is None:
                     infeasible = "no follower-optimal profile fits capacity"
             if infeasible is not None:
@@ -269,6 +287,8 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
                                     price=prices,
                                     active=np.array(z),
                                     placed=placed)
+                # Every second-stage model has the same columns, so the
+                # last one built reads the followers off any point.
                 best = (profit, sort_key, ld, stage.followers(x, opt_costs))
     if best is None:
         return OracleResult(None, None, None, examined, log)

@@ -5,6 +5,16 @@ feasibility, stationarity, and the eight complementarity families
 linearized with binary switches and big-M constants. The bilinear
 price-times-budget-multiplier and placement-times-capacity-multiplier
 products are expanded over the one-hot price selection.
+
+P1 also carries P2's strong-duality equality: the ``revdef`` row of
+``build_base`` and the price-times-procurement rows of
+``add_revenue_hull``. Every follower-optimal response meets it, by
+strong duality, so it cuts off no leader decision; it tightens the LP
+relaxation to P2's, whose root bound is far below the one ``revdef``
+alone gives. The price
+is that a fault in those shared rows would show in P1 and P2 alike, so
+the oracle and the benchmark's checker, which write their own rows,
+remain the independent references.
 """
 
 from __future__ import annotations
@@ -12,8 +22,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ._milp_base import (M_LIN, MilpLayout, ReformResult, add_dual_rows,
-                         build_base, extract_solution, multiplier_bounds,
-                         solve_reformulation, validate_bigM)
+                         add_revenue_hull, build_base, extract_solution,
+                         multiplier_bounds, solve_reformulation,
+                         validate_bigM)
 from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
 
@@ -49,6 +60,7 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
     for k in range(K):
         # Stationarity: the follower's dual rows as equalities.
         add_dual_rows(m, inst, lay, k, EQ)
+        add_revenue_hull(m, inst, lay, k)
 
         # Complementarity switches: switch = 1 frees the slack side and
         # zeroes the multiplier side.
@@ -105,8 +117,8 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
                 m.add_constr({lay.eta[i, j, k]: 1.0,
                               lay.rho[i, j, k]: unit_max}, LE, unit_max,
                              name=f"cc5m_{i}_{j}_{k}")
-        # Budget slack via the revenue variable, which the strong-duality
-        # row pins to the true edge spend at any KKT-consistent point.
+        # Budget slack via the revenue variable, which ``revsum`` pins
+        # to the true edge spend.
         m.add_constr({lay.rev[k]: -1.0, lay.y_cloud[k]: -inst.cloud_price,
                       lay.v2[k]: -budget}, LE, -inst.budget[k],
                      name=f"cc6s_{k}")

@@ -3,10 +3,9 @@
 All monetary and workload quantities are 64-bit floats. This record
 holds the tolerances of the cross-checks on integrality, duality, profit
 and agreement between methods. It is not every tolerance in the
-library: ``lp_core._RESIDUAL_TOL``, ``analytic._TOL``,
-``oracle._COST_PIN_SLACK`` and the ``1e-6`` literals in
-``lp_core.import_solution`` and ``reform_dual.extract_solution_p2`` live
-beside the code that reads them.
+library: ``lp_core._RESIDUAL_TOL``, ``analytic._TOL`` and the ``1e-6``
+literals in ``lp_core.import_solution`` and
+``_milp_base.extract_solution`` live beside the code that reads them.
 """
 
 from dataclasses import dataclass

@@ -274,6 +274,53 @@ def test_node_limit_gap_covers_the_optimum():
     assert bound >= optimum - 1e-9
 
 
+def test_unresolved_node_lp_keeps_its_subtree(monkeypatch):
+    """A node LP that HiGHS leaves unresolved is not dropped: the node is
+    split on its first free binary under its parent's bound. The node
+    made to fail here lies on the path to the optimum, so dropping it
+    would lose the optimum."""
+    m = node_limited_milp()
+    optimum = milp_oracle(m)
+    best = solve_milp(m, MilpConfig(backend="bnb"))
+    assert best.objective == pytest.approx(optimum, abs=1e-6)
+    binaries = m.binary_ids
+    target = {v: float(round(best.values[v])) for v in binaries}
+    real, failed = lp_core.solve_lp, []
+
+    def flaky(model, bound_overrides=None):
+        fixings = {v: lo for v, (lo, _) in (bound_overrides or {}).items()}
+        if (not failed and 0 < len(fixings) < len(binaries)
+                and all(target[v] == b for v, b in fixings.items())):
+            failed.append(fixings)
+            raise RuntimeError("LP solve failed: HiGHS model status Unknown")
+        return real(model, bound_overrides)
+
+    monkeypatch.setattr(lp_core, "solve_lp", flaky)
+    sol = solve_milp(m, MilpConfig(backend="bnb"))
+    assert failed
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(optimum, abs=1e-6)
+
+
+def test_unresolved_node_lp_raises_only_when_fully_fixed(monkeypatch):
+    """With every node LP unresolved, the search splits down to a node
+    with every binary fixed, and only that one raises."""
+    m = node_limited_milp()
+    real, calls = lp_core.solve_lp, []
+
+    def broken(model, bound_overrides=None):
+        if bound_overrides:
+            calls.append(len(bound_overrides))
+            raise RuntimeError("LP solve failed: HiGHS model status Unknown")
+        return real(model, bound_overrides)
+
+    monkeypatch.setattr(lp_core, "solve_lp", broken)
+    with pytest.raises(RuntimeError, match="Unknown"):
+        solve_milp(m, MilpConfig(backend="bnb"))
+    assert calls[-1] == len(m.binary_ids)
+    assert all(n < len(m.binary_ids) for n in calls[:-1])
+
+
 def test_mps_round_trip_through_import():
     rng = np.random.default_rng(5)
     m = random_milp(rng, 4)

@@ -126,10 +126,13 @@ def test_p2_detects_infeasible_instance():
     assert res.status == "infeasible"
 
 
-def test_revenue_variable_equals_price_times_procurement():
+@pytest.mark.parametrize("solve, build", [(solve_p1, build_p1),
+                                           (solve_p2, build_p2)],
+                         ids=["p1", "p2"])
+def test_revenue_variable_equals_price_times_procurement(solve, build):
     inst = tiny_instance(0)
-    res = solve_p2(inst, CFG)
-    model, lay = build_p2(inst)
+    res = solve(inst, CFG)
+    model, lay = build(inst)
     for k in range(inst.num_services):
         direct = float(res.leader.price @ res.followers[k].y_edge)
         assert res.milp.values[lay.rev[k]] == pytest.approx(direct, abs=1e-6)

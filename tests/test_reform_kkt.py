@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from edgemarket._milp_base import M_LIN
-from edgemarket.lp_core import MilpConfig
+from edgemarket.lp_core import MilpConfig, solve_lp
 from edgemarket.model import leader_profit, validate_instance
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import build_p2, solve_p2
 from edgemarket.reform_kkt import (build_p1, extract_solution_p1, solve_p1,
                                    validate_bigM)
+from edgemarket.scenario import ScenarioConfig, sample_instance
 
 from conftest import tiny_instance
 
@@ -90,6 +91,48 @@ def test_p1_matches_oracle(seed):
     oracle = brute_force_bilevel(inst, keep_log=False)
     report = compare(oracle, res.objective, res.status)
     assert report.passed, report
+
+
+def _rows_by_name(model, families):
+    """The rows of ``families`` as {name: (sense, rhs, {column name:
+    coefficient})}, so that models with different column ids compare."""
+    names = [v.name for v in model.variables]
+    return {r.name: (r.sense, r.rhs,
+                     {names[vid]: c for vid, c in r.coeffs.items()})
+            for r in model.constraints if r.name.split("_")[0] in families}
+
+
+DESK = [sample_instance(ScenarioConfig(seed=s, num_aps=6, num_ens=3,
+                                       num_services=4)) for s in range(5)]
+
+
+def test_both_builders_write_the_same_revenue_hull():
+    for inst in [tiny_instance(0), tiny_instance(1), DESK[0]]:
+        N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
+        families = ("hub1", "hsum", "revsum")
+        p1 = _rows_by_name(build_p1(inst)[0], families)
+        p2 = _rows_by_name(build_p2(inst)[0], families)
+        assert len(p1) == N * V * K + N * K + K
+        assert p1 == p2
+
+
+@pytest.mark.parametrize("inst", [tiny_instance(s) for s in range(40)] + DESK,
+                         ids=[f"tiny{s}" for s in range(40)]
+                         + [f"desk{s}" for s in range(5)])
+def test_p1_relaxation_no_looser_than_p2(inst):
+    """P1 carries P2's revenue rows, so its LP relaxation is at least as
+    tight as P2's."""
+    a, b = solve_lp(build_p1(inst)[0]), solve_lp(build_p2(inst)[0])
+    assert a.status == b.status
+    if a.status == "optimal":
+        assert a.objective <= b.objective + 1e-9 * (1.0 + abs(b.objective))
+
+
+def test_p1_embedded_backend_splits_unresolved_node_lps():
+    """On tiny seed 7 one node LP of P1 stays unresolved through every
+    HiGHS retry; the search goes on past it instead of raising."""
+    res = solve_p1(tiny_instance(7), MilpConfig(backend="bnb", time_limit=3))
+    assert res.status in ("optimal", "time-limit")
 
 
 def test_p1_detects_infeasible_instance():
