@@ -247,6 +247,43 @@ def test_solve_milp_minimization_sense():
     assert sol.values[b] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("backend", ["bnb", "highs"])
+def test_backends_label_unbounded_and_infeasible(backend):
+    """``max c + b`` s.t. ``b - c <= 0.5`` with ``c`` unbounded above is
+    unbounded (HiGHS's presolve calls it unbounded-or-infeasible); a
+    binary pair whose sum must lie in [0.5, 0.7] is infeasible though
+    its relaxation is not."""
+    cfg = MilpConfig(backend=backend)
+    m = LinearModel(sense="max")
+    b = m.add_var("b", binary=True)
+    c = m.add_var("c")
+    m.add_constr({b: 1.0, c: -1.0}, LE, 0.5)
+    m.set_objective({b: 1.0, c: 1.0})
+    sol = solve_milp(m, cfg)
+    assert sol.status == UNBOUNDED
+    assert sol.objective == math.inf
+    m = LinearModel(sense="max")
+    x, y = m.add_var("x", binary=True), m.add_var("y", binary=True)
+    m.add_constr({x: 1.0, y: 1.0}, GE, 0.5)
+    m.add_constr({x: 1.0, y: 1.0}, LE, 0.7)
+    m.set_objective({x: 1.0})
+    assert solve_lp(m).status == OPTIMAL
+    sol = solve_milp(m, cfg)
+    assert sol.status == INFEASIBLE
+    assert not sol.values
+
+
+def test_highs_rejected_option_raises(monkeypatch):
+    """An option HiGHS does not know fails the solve instead of being
+    ignored, so a renamed option cannot silently keep its default."""
+    monkeypatch.setitem(lp_core._MIP_OPTIONS, "no_such_option", False)
+    m = LinearModel(sense="max")
+    b = m.add_var("b", binary=True)
+    m.set_objective({b: 1.0})
+    with pytest.raises(RuntimeError, match="no_such_option"):
+        solve_milp(m, MilpConfig(backend="highs"))
+
+
 def node_limited_milp():
     """A MILP whose root relaxation is fractional and whose first
     incumbent, found at node 2, is not optimal."""
