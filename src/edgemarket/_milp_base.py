@@ -1,8 +1,9 @@
 """Shared machinery for the two single-level MILP reformulations.
 
-P1 (KKT-based) and P2 (duality-based) embed the same follower LP and
-differ only in how they certify its optimality: complementarity
-switches or a strong-duality equality. Each row family is written once:
+P1 (KKT-based) and P2 (duality-based) embed the same follower LP, dual
+rows and strong-duality equality. P1 writes the dual rows as equalities
+and adds complementarity pairs over the follower's primal rows
+(``reform_kkt``). Each row family is written once:
 
 - ``build_base``: the leader rows, the ``r * mu2`` and ``t * Gamma``
   product linearizations and the dual-side revenue row ``revdef``, with
@@ -15,10 +16,10 @@ switches or a strong-duality equality. Each row family is written once:
 - ``add_revenue_hull``: each service's primal-side revenue, price times
   procurement, over the same kind of one-hot hull. With ``revdef`` it is
   the strong-duality equality. Both methods carry it: P2 needs it to
-  certify follower optimality, and in P1, whose switches already
-  certify it, it tightens the LP relaxation to P2's. So a fault in these
-  rows would show in both methods alike; the references below stay
-  independent of them;
+  certify follower optimality, and in P1, whose complementarity pairs
+  already certify it, it tightens the LP relaxation to P2's. So a fault
+  in these rows would show in both methods alike, and P1 == P2 is no
+  independent check; the references below stay independent of them;
 - ``solve_reformulation``: the build, solve, extract, validate and
   big-M escalation loop behind ``solve_p1`` and ``solve_p2``.
 
@@ -26,8 +27,8 @@ This module owns the big-M constants, whose only inputs are the
 instance and the multiplier scale ``m_lin``: ``M_LIN`` is the starting
 scale, ``multiplier_bounds`` turns a scale into bounds per multiplier
 family, ``validate_bigM`` checks the returned point against them, and
-``solve_reformulation`` raises only ``m_lin`` when a bound binds. P1's
-slack-side constants are exact data bounds, written by
+``solve_reformulation`` raises only ``m_lin`` when a bound binds. The
+slack-side constants of P1's pairs are exact data bounds, chosen by
 ``reform_kkt.build_p1``.
 
 The reference code the reformulations are tested against writes its
@@ -84,16 +85,8 @@ class MilpLayout:
     h: Dict[Tuple[int, int, int], int] = field(default_factory=dict)   # (j, v, k)
     g: Dict[Tuple[int, int], int] = field(default_factory=dict)        # (j, k)
     rev: Dict[int, int] = field(default_factory=dict)                  # k
-    # KKT-only complementarity switches
-    psi: Dict[Tuple[int, int], int] = field(default_factory=dict)      # (i, k)
-    v1: Dict[int, int] = field(default_factory=dict)
-    kappa: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    theta: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    rho: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    v2: Dict[int, int] = field(default_factory=dict)
-    phi_sw: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    omega: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-
+    # P1's complementarity pairs as (switch, multiplier)
+    pairs: List[Tuple[int, int]] = field(default_factory=list)
 
 M_LIN = 10.0   # starting multiplier scale: ten times each multiplier's unit
 
@@ -445,8 +438,9 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     truncated by it, so callers must re-solve with a larger ``m_lin``
     when this returns a non-empty list. The check sees only the returned
     point: a constant that cuts off a better leader decision leaves no
-    trace here. Works for both builders; the switch families are only
-    checked when present.
+    trace here. Works for both builders: mu2 and Gamma, which bound
+    P2's products too, are always checked; the multipliers of P1's
+    complementarity pairs only when ``lay.pairs`` is not empty.
 
     Multipliers of vacuous rows (capacity of an unplaced EN, eligibility
     of a barred pair, rows with zero demand) are costless degenerate rays
@@ -469,7 +463,7 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
         for j in range(N):
             if placed[j]:
                 check(val[lay.gamma[j, k]], unit_max, f"Gamma[{j},{k}]")
-        if not lay.psi:
+        if not lay.pairs:
             continue
         for i in range(M):
             if inst.demand[i, k] > 0:

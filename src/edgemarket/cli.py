@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative(text: str) -> float:
+    """A ``--gap`` or ``--time-limit``: a finite number, at least 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number >= 0")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="edgemarket",
                 description="Exact edge resource pricing and placement")
@@ -58,8 +68,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--mps-out", help="write the MILP in MPS format")
     solve.add_argument("--import-solution",
                        help="verify an externally produced solution file")
-    solve.add_argument("--gap", type=float, default=1e-6)
-    solve.add_argument("--time-limit", type=float)
+    solve.add_argument("--gap", type=_non_negative, default=1e-6)
+    solve.add_argument("--time-limit", type=_non_negative)
     solve.add_argument("--report", help="write the JSON solve report here")
 
     sweep = sub.add_parser("sweep", help="sensitivity sweep")
@@ -72,7 +82,7 @@ def _build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="timing benchmark")
     bench.add_argument("--grid", choices=sorted(BENCH_GRIDS), default="table1")
-    bench.add_argument("--time-limit", type=float, default=600.0)
+    bench.add_argument("--time-limit", type=_non_negative, default=600.0)
     bench.add_argument("--out")
     return p
 

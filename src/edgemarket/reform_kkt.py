@@ -1,25 +1,30 @@
 """KKT-based single-level reformulation (P1).
 
 Each follower LP is replaced by its optimality system: primal
-feasibility, stationarity, and the eight complementarity families
-linearized with binary switches and big-M constants. The bilinear
-price-times-budget-multiplier and placement-times-capacity-multiplier
-products are expanded over the one-hot price selection.
+feasibility, stationarity, and complementarity. Complementarity is one
+pair per ``<=`` row of the follower and per allocation column, each
+linearized by ``_add_pair`` with one binary switch and two big-M rows
+(Fortuny-Amat & McCarl 1981). A pair's slack side is read from the
+primal row ``follower.add_follower_rows`` wrote, so each primal row is
+written once. The bilinear price-times-budget-multiplier and
+placement-times-capacity-multiplier products are expanded over the
+one-hot price selection.
 
-P1 also carries P2's strong-duality equality: the ``revdef`` row of
-``build_base`` and the price-times-procurement rows of
-``add_revenue_hull``. Every follower-optimal response meets it, by
-strong duality, so it cuts off no leader decision; it tightens the LP
-relaxation to P2's, whose root bound is far below the one ``revdef``
-alone gives. The price
-is that a fault in those shared rows would show in P1 and P2 alike, so
-the oracle and the benchmark's checker, which write their own rows,
-remain the independent references.
+P1 also carries P2's dual rows and strong-duality equality: the
+``revdef`` row of ``build_base`` and the price-times-procurement rows of
+``add_revenue_hull``. Every follower-optimal response meets them, so
+they cut off no leader decision, and they tighten the LP relaxation to
+P2's. Wherever the price and placement binaries are integral, these
+rows alone make each follower's response optimal, so the pairs certify
+nothing P2's rows do not, and P1 == P2 is no independent check: a
+fault in the shared rows would show in both. The oracle and the
+benchmark's checker, which write their own rows, are the independent
+references.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._milp_base import (M_LIN, MilpLayout, ReformResult, add_dual_rows,
                          add_revenue_hull, build_base, extract_solution,
@@ -29,23 +34,40 @@ from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
 
 
+def _add_pair(m: LinearModel, lay: MilpLayout, family: str, index: str,
+              slack: Tuple[Dict[int, float], float], slack_ub: float,
+              mult: int, mult_ub: float) -> None:
+    """Write ``slack * mult = 0`` with one binary switch ``s``: the rows
+    ``rhs - coeffs @ x <= slack_ub * s`` (``{family}s_{index}``) and
+    ``mult <= mult_ub * (1 - s)`` (``{family}m_{index}``), where
+    ``slack`` is a ``<=`` row's ``(coeffs, rhs)``."""
+    coeffs, rhs = slack
+    s = m.add_var(f"{family}_{index}", binary=True)
+    row = {vid: -c for vid, c in coeffs.items()}
+    row[s] = -slack_ub
+    m.add_constr(row, LE, -rhs, name=f"{family}s_{index}")
+    m.add_constr({mult: 1.0, s: mult_ub}, LE, mult_ub,
+                 name=f"{family}m_{index}")
+    lay.pairs.append((s, mult))
+
+
 def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
              fix_price_level: Optional[int] = None,
              ) -> Tuple[LinearModel, MilpLayout]:
     """Single MILP whose feasible points are exactly the leader decisions
     paired with follower-optimal responses (certified by KKT).
 
-    Each complementarity family has a slack-side and a multiplier-side
-    big-M row. The slack-side constants are exact data bounds, so none
-    can cut off a follower-optimal point: the delay-cap slack is at most
-    the delay cap; a cloud-coverage slack is zero at any follower optimum
-    (the cloud price is positive) and is bounded by the per-service
-    demand; the EN coverage and capacity slacks by the EN capacity; the
-    eligibility slack and the allocations by the per-AP demand; the
-    budget slack by the budget. A bound of zero, as with no demand at
-    all, is exact too: its slack is zero at every follower optimum. The
-    multiplier-side constants are the heuristic bounds
-    ``multiplier_bounds`` gives for ``m_lin``.
+    Each pair's slack side is a primal row of ``build_base``, looked up
+    by name, or an allocation column; its slack-side constant is an
+    exact data bound, so none can cut off a follower-optimal point: the
+    delay-cap slack is at most the delay cap; a cloud-coverage slack is
+    zero at any follower optimum (the cloud price is positive) and is
+    bounded by the per-service demand; the EN coverage and capacity
+    slacks by the EN capacity; the eligibility slack and the allocations
+    by the per-AP demand; the budget slack by the budget. A bound of
+    zero, as with no demand at all, is exact too: its slack is zero at
+    every follower optimum. The multiplier-side constants are the
+    heuristic bounds ``multiplier_bounds`` gives for ``m_lin``.
     """
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     m, lay = build_base(inst, m_lin, "p1", flat=flat,
@@ -56,88 +78,43 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
     ap_demand = float(inst.demand.max(initial=0.0))
     capacity = float(inst.compute_cap.max(initial=0.0))
     budget = float(inst.budget.max(initial=0.0))
+    rows = {row.name: (row.coeffs, row.rhs) for row in m.constraints}
 
     for k in range(K):
         # Stationarity: the follower's dual rows as equalities.
         add_dual_rows(m, inst, lay, k, EQ)
         add_revenue_hull(m, inst, lay, k)
 
-        # Complementarity switches: switch = 1 frees the slack side and
-        # zeroes the multiplier side.
+        # Complementarity, one pair per <= row of the follower and per
+        # allocation column. The budget row's slack reads the revenue
+        # variable, which ``revsum`` pins to the true edge spend.
         for i in range(M):
-            lay.psi[i, k] = m.add_var(f"psi_{i}_{k}", binary=True)
-        lay.v1[k] = m.add_var(f"v1_{k}", binary=True)
+            _add_pair(m, lay, "cc1", f"{i}_{k}", rows[f"dcap_{i}_{k}"],
+                      delay_max, lay.tau[i, k], tau_max)
+        _add_pair(m, lay, "cc2", str(k), rows[f"cov0_{k}"],
+                  service_demand, lay.mu1[k], unit_max)
         for j in range(N):
-            lay.kappa[j, k] = m.add_var(f"kappa_{j}_{k}", binary=True)
+            _add_pair(m, lay, "cc3", f"{j}_{k}", rows[f"cov_{j}_{k}"],
+                      capacity, lay.lam[j, k], unit_max)
         for j in range(N):
-            lay.theta[j, k] = m.add_var(f"theta_{j}_{k}", binary=True)
+            _add_pair(m, lay, "cc4", f"{j}_{k}", rows[f"cap_{j}_{k}"],
+                      capacity, lay.gamma[j, k], unit_max)
         for i in range(M):
             for j in range(N):
-                lay.rho[i, j, k] = m.add_var(f"rho_{i}_{j}_{k}", binary=True)
-        lay.v2[k] = m.add_var(f"v2_{k}", binary=True)
+                _add_pair(m, lay, "cc5", f"{i}_{j}_{k}",
+                          rows[f"elig_{i}_{j}_{k}"],
+                          ap_demand, lay.eta[i, j, k], unit_max)
+        _add_pair(m, lay, "cc6", str(k), rows[f"budget_{k}"],
+                  budget, lay.mu2[k], mu2_max)
         for i in range(M):
-            lay.phi_sw[i, k] = m.add_var(f"phi_{i}_{k}", binary=True)
-        for i in range(M):
-            for j in range(N):
-                lay.omega[i, j, k] = m.add_var(f"omega_{i}_{j}_{k}",
-                                               binary=True)
-
-        for i in range(M):
-            m.add_constr({lay.avg_delay[i, k]: -1.0,
-                          lay.psi[i, k]: -delay_max},
-                         LE, -inst.delay_cap[k], name=f"cc1s_{i}_{k}")
-            m.add_constr({lay.tau[i, k]: 1.0, lay.psi[i, k]: tau_max},
-                         LE, tau_max, name=f"cc1m_{i}_{k}")
-        coeffs = {lay.y_cloud[k]: 1.0, lay.v1[k]: -service_demand}
-        for i in range(M):
-            coeffs[lay.x_cloud[i, k]] = -1.0
-        m.add_constr(coeffs, LE, 0.0, name=f"cc2s_{k}")
-        m.add_constr({lay.mu1[k]: 1.0, lay.v1[k]: unit_max}, LE, unit_max,
-                     name=f"cc2m_{k}")
-        for j in range(N):
-            coeffs = {lay.y_edge[j, k]: 1.0, lay.kappa[j, k]: -capacity}
-            for i in range(M):
-                coeffs[lay.x_edge[i, j, k]] = -1.0
-            m.add_constr(coeffs, LE, 0.0, name=f"cc3s_{j}_{k}")
-            m.add_constr({lay.lam[j, k]: 1.0, lay.kappa[j, k]: unit_max},
-                         LE, unit_max, name=f"cc3m_{j}_{k}")
-        for j in range(N):
-            m.add_constr({lay.t[j, k]: inst.compute_cap[j],
-                          lay.y_edge[j, k]: -1.0,
-                          lay.theta[j, k]: -capacity}, LE, 0.0,
-                         name=f"cc4s_{j}_{k}")
-            m.add_constr({lay.gamma[j, k]: 1.0, lay.theta[j, k]: unit_max},
-                         LE, unit_max, name=f"cc4m_{j}_{k}")
+            _add_pair(m, lay, "cc7", f"{i}_{k}",
+                      ({lay.x_cloud[i, k]: -1.0}, 0.0),
+                      ap_demand, lay.zeta[i, k], unit_max)
         for i in range(M):
             for j in range(N):
-                m.add_constr({lay.x_edge[i, j, k]: -1.0,
-                              lay.rho[i, j, k]: -ap_demand}, LE,
-                             -inst.eligible[i, j, k] * inst.demand[i, k],
-                             name=f"cc5s_{i}_{j}_{k}")
-                m.add_constr({lay.eta[i, j, k]: 1.0,
-                              lay.rho[i, j, k]: unit_max}, LE, unit_max,
-                             name=f"cc5m_{i}_{j}_{k}")
-        # Budget slack via the revenue variable, which ``revsum`` pins
-        # to the true edge spend.
-        m.add_constr({lay.rev[k]: -1.0, lay.y_cloud[k]: -inst.cloud_price,
-                      lay.v2[k]: -budget}, LE, -inst.budget[k],
-                     name=f"cc6s_{k}")
-        m.add_constr({lay.mu2[k]: 1.0, lay.v2[k]: mu2_max}, LE, mu2_max,
-                     name=f"cc6m_{k}")
-        for i in range(M):
-            m.add_constr({lay.x_cloud[i, k]: 1.0,
-                          lay.phi_sw[i, k]: -ap_demand},
-                         LE, 0.0, name=f"cc7s_{i}_{k}")
-            m.add_constr({lay.zeta[i, k]: 1.0, lay.phi_sw[i, k]: unit_max},
-                         LE, unit_max, name=f"cc7m_{i}_{k}")
-        for i in range(M):
-            for j in range(N):
-                m.add_constr({lay.x_edge[i, j, k]: 1.0,
-                              lay.omega[i, j, k]: -ap_demand}, LE, 0.0,
-                             name=f"cc8s_{i}_{j}_{k}")
-                m.add_constr({lay.eps[i, j, k]: 1.0,
-                              lay.omega[i, j, k]: unit_max}, LE, unit_max,
-                             name=f"cc8m_{i}_{j}_{k}")
+                _add_pair(m, lay, "cc8", f"{i}_{j}_{k}",
+                          ({lay.x_edge[i, j, k]: -1.0}, 0.0),
+                          ap_demand, lay.eps[i, j, k], unit_max)
     return m, lay
 
 

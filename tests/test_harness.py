@@ -153,6 +153,23 @@ def test_cli_solve_usage_error_exit_4(tmp_path):
     assert exc.value.code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "x.json", "--gap", "-1"],
+    ["solve", "--instance", "x.json", "--gap", "nan"],
+    ["solve", "--instance", "x.json", "--time-limit", "-5"],
+    ["solve", "--instance", "x.json", "--time-limit", "inf"],
+    ["bench", "--time-limit", "-1"],
+    ["bench", "--time-limit", "nan"],
+])
+def test_cli_rejects_bad_limits_exit_4(argv, capsys):
+    """A negative or non-finite ``--gap`` or ``--time-limit`` is a usage
+    error, caught before any instance is read or model solved."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    assert "finite number >= 0" in capsys.readouterr().err
+
+
 def test_cli_missing_file_exit_4(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "nope.json")])
     assert rc == 4

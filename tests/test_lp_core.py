@@ -177,13 +177,34 @@ def linprog_reference(m, bound_overrides=None, arrays=None):
     return status, float(arrays["c"] @ res.x), duals
 
 
+def breaks_a_binary_row(m, fixed):
+    """Whether the 0/1 assignment ``fixed`` breaks by more than 1e-6 a
+    row of ``m`` over binaries only, such as a one-hot row: then no
+    value of the other columns makes it feasible."""
+    for con in m.constraints:
+        if not set(con.coeffs) <= fixed.keys():
+            continue
+        excess = sum(c * fixed[vid]
+                     for vid, c in con.coeffs.items()) - con.rhs
+        if con.sense == GE:
+            excess = -excess
+        elif con.sense == EQ:
+            excess = abs(excess)
+        if excess > 1e-6:
+            return True
+    return False
+
+
 def milp_oracle(m):
     """Exhaustive enumeration over binary assignments, with each LP for
-    the rest solved by linprog, not by the code under test."""
+    the rest solved by linprog, not by the code under test. Assignments
+    that break a row over binaries only are infeasible and skipped."""
     binaries = m.binary_ids
     arrays = linprog_arrays(m)
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
+        if breaks_a_binary_row(m, dict(zip(binaries, bits))):
+            continue
         status, objective, _ = linprog_reference(
             m, {vid: (b, b) for vid, b in zip(binaries, bits)}, arrays)
         if status != OPTIMAL:

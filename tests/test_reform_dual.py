@@ -34,7 +34,7 @@ def test_binary_count_formula():
 def test_p2_has_no_complementarity_switches():
     inst = tiny_instance(0)
     _, lay = build_p2(inst)
-    assert not lay.psi and not lay.kappa and not lay.omega
+    assert lay.pairs == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4, 5])

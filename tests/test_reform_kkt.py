@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from edgemarket._milp_base import M_LIN
-from edgemarket.lp_core import MilpConfig, solve_lp
+from edgemarket.lp_core import LE, MilpConfig, solve_lp
 from edgemarket.model import leader_profit, validate_instance
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import build_p2, solve_p2
@@ -104,6 +104,42 @@ def _rows_by_name(model, families):
 
 DESK = [sample_instance(ScenarioConfig(seed=s, num_aps=6, num_ens=3,
                                        num_services=4)) for s in range(5)]
+
+
+# Each pair family and the primal row its slack side reads; cc7 and cc8
+# read the allocation columns themselves.
+PRIMAL_OF_PAIR = {"cc1s": "dcap", "cc2s": "cov0", "cc3s": "cov",
+                  "cc4s": "cap", "cc5s": "elig", "cc6s": "budget"}
+
+
+@pytest.mark.parametrize("inst", [tiny_instance(s) for s in range(4)]
+                         + [DESK[0]], ids=["tiny0", "tiny1", "tiny2",
+                                           "tiny3", "desk0"])
+def test_slack_rows_are_the_primal_rows_negated(inst):
+    """Each ``ccNs`` row is its primal ``<=`` row, negated, plus its
+    switch; ``cc7s``/``cc8s`` hold one allocation column and the switch."""
+    model, lay = build_p1(inst)
+    rows = {r.name: r for r in model.constraints}
+    switches = {s for s, _ in lay.pairs}
+    seen = 0
+    for name, row in rows.items():
+        family, index = name.split("_", 1)
+        if not (family.startswith("cc") and family.endswith("s")):
+            continue
+        seen += 1
+        (switch,) = [vid for vid in row.coeffs if vid in switches]
+        rest = {vid: c for vid, c in row.coeffs.items() if vid != switch}
+        if family in PRIMAL_OF_PAIR:
+            primal = rows[f"{PRIMAL_OF_PAIR[family]}_{index}"]
+            assert primal.sense == LE
+            assert rest == {vid: -c for vid, c in primal.coeffs.items()}
+            assert row.rhs == -primal.rhs
+        else:
+            (vid,) = rest
+            prefix = {"cc7s": "x0_", "cc8s": "x_"}[family]
+            assert model.variables[vid].name == prefix + index
+            assert rest[vid] == 1.0 and row.rhs == 0.0
+    assert seen == len(lay.pairs) > 0
 
 
 def test_both_builders_write_the_same_revenue_hull():
