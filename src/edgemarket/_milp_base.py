@@ -25,10 +25,14 @@ and adds complementarity pairs over the follower's primal rows
 
 This module owns the big-M constants, whose only inputs are the
 instance and the multiplier scale ``m_lin``: ``M_LIN`` is the starting
-scale, ``multiplier_bounds`` turns a scale into bounds per multiplier
-family, ``validate_bigM`` checks the returned point against them, and
-``solve_reformulation`` raises only ``m_lin`` when a bound binds. The
-slack-side constants of P1's pairs are exact data bounds, chosen by
+scale, ``multiplier_bounds`` turns a scale into heuristic bounds per
+multiplier family, ``zero_multipliers`` proves from the data which
+budget and eligibility multipliers can be bounded by 0 instead,
+``validate_bigM`` checks the returned point against the heuristic
+bounds, and ``solve_reformulation`` raises only ``m_lin`` when one
+binds. A proven bound of 0 is a column upper bound, so HiGHS's presolve
+removes what it kills, while every row is still written. The slack-side
+constants of P1's pairs are exact data bounds, chosen by
 ``reform_kkt.build_p1``.
 
 The reference code the reformulations are tested against writes its
@@ -111,7 +115,8 @@ def multiplier_bounds(inst: Instance, m_lin: float,
     bound, and a constant that is too small can cut off a better leader
     decision. ``solve_reformulation`` relies on ``validate_bigM``, which
     sees only the returned point, and raises ``m_lin`` tenfold when it
-    flags one.
+    flags one. Where ``zero_multipliers`` proves mu2 or eta 0, the
+    builders use 0 in place of these.
     """
     max_delay = max(float(inst.delay_edge.max(initial=0.0)),
                     float(inst.delay_cloud.max(initial=0.0)), 1.0)
@@ -119,6 +124,34 @@ def multiplier_bounds(inst: Instance, m_lin: float,
                 + float(inst.delay_weight.max(initial=0.0)) * max_delay)
     unit = m_lin * per_unit
     return m_lin, unit, unit * float(inst.demand.max(initial=0.0)) / max_delay
+
+
+def zero_multipliers(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
+    """The follower multipliers proven 0 by the data alone, as masks
+    ``(mu2, eta)`` of shapes (K,) and (M, N, K): at every price and
+    placement the leader can choose, service k's LP has an optimal dual
+    with every masked multiplier at 0 at once.
+
+    - ``mu2[k]``, budget: at a follower optimum each unit of workload is
+      bought once (``cov0`` and ``cov`` are tight where the price is
+      positive, and the cloud price is), so the spend is at most the
+      highest price, cloud or grid, times the service's total demand. If
+      that is below the budget, the budget row is slack at every optimum,
+      and complementary slackness puts mu2 at 0 in every optimal dual.
+    - ``eta[i,j,k]``, eligibility of an eligible pair: the row
+      ``x_ij <= demand_i`` is implied by ``bal_i`` and ``x >= 0``.
+
+    Drop the implied rows and the slack budget rows: the spend bound
+    holds without them, so the reduced LP's optimum is feasible in the
+    full one and the optimal values agree. The reduced LP's optimal dual,
+    padded with zeros, is then dual feasible for the full LP at the same
+    value, so optimal, with every masked multiplier at 0. The budget must
+    exceed the spend bound by a relative 1e-9, so that rounding in the
+    product cannot turn a tie into a proof.
+    """
+    top = max(inst.cloud_price, float(inst.price_grid.max(initial=0.0)))
+    spend = top * inst.demand.sum(axis=0)
+    return spend * (1.0 + 1e-9) < inst.budget, inst.eligible == 1
 
 
 def build_base(inst: Instance, m_lin: float, name: str,
@@ -132,7 +165,9 @@ def build_base(inst: Instance, m_lin: float, name: str,
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
     products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
-    and per-unit bounds it gives. ``t * Gamma`` takes the three McCormick
+    and per-unit bounds it gives, except where ``zero_multipliers``
+    proves mu2 0: there mu2's column and its hull take the bound 0, as
+    do the eta columns it proves. ``t * Gamma`` takes the three McCormick
     rows. ``r * mu2`` takes the hull over EN j's one-hot price choice
     (Balas' disjunctive hull, or RLT with the ``onehot_j`` row):
     ``pisum``, ``sum_v pi[j,v,k] = mu2[k]``, and ``piub1``,
@@ -146,6 +181,7 @@ def build_base(inst: Instance, m_lin: float, name: str,
     """
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
     mu2_max, gamma_max, _ = multiplier_bounds(inst, m_lin)
+    mu2_zero, eta_zero = zero_multipliers(inst)
     m = LinearModel(name=name, sense="max")
     lay = MilpLayout()
 
@@ -176,14 +212,17 @@ def build_base(inst: Instance, m_lin: float, name: str,
         for i in range(M):
             lay.tau[i, k] = m.add_var(f"tau_{i}_{k}")
         lay.mu1[k] = m.add_var(f"mu1_{k}")
-        lay.mu2[k] = m.add_var(f"mu2_{k}")
+        lay.mu2[k] = m.add_var(f"mu2_{k}",
+                               ub=0.0 if mu2_zero[k] else math.inf)
         for j in range(N):
             lay.lam[j, k] = m.add_var(f"lam_{j}_{k}")
         for j in range(N):
             lay.gamma[j, k] = m.add_var(f"gamma_{j}_{k}")
         for i in range(M):
             for j in range(N):
-                lay.eta[i, j, k] = m.add_var(f"eta_{i}_{j}_{k}")
+                lay.eta[i, j, k] = m.add_var(
+                    f"eta_{i}_{j}_{k}",
+                    ub=0.0 if eta_zero[i, j, k] else math.inf)
         for i in range(M):
             lay.zeta[i, k] = m.add_var(f"zeta_{i}_{k}")
         for i in range(M):
@@ -240,9 +279,10 @@ def build_base(inst: Instance, m_lin: float, name: str,
         # pi[j,v,k] = r[j,v] * mu2[k], as the hull over EN j's one-hot
         # price choice: mu2 splits across the levels, each share boxed
         # by its binary.
+        mu2_ub = 0.0 if mu2_zero[k] else mu2_max
         for j in range(N):
             for v in range(V):
-                m.add_constr({lay.pi[j, v, k]: 1.0, lay.r[j, v]: -mu2_max},
+                m.add_constr({lay.pi[j, v, k]: 1.0, lay.r[j, v]: -mu2_ub},
                              LE, 0.0, name=f"piub1_{j}_{v}_{k}")
             coeffs = {lay.pi[j, v, k]: 1.0 for v in range(V)}
             coeffs[lay.mu2[k]] = -1.0
@@ -439,16 +479,21 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     when this returns a non-empty list. The check sees only the returned
     point: a constant that cuts off a better leader decision leaves no
     trace here. Works for both builders: mu2 and Gamma, which bound
-    P2's products too, are always checked; the multipliers of P1's
+    P2's products too, are checked for both; the multipliers of P1's
     complementarity pairs only when ``lay.pairs`` is not empty.
 
-    Multipliers of vacuous rows (capacity of an unplaced EN, eligibility
-    of a barred pair, rows with zero demand) are costless degenerate rays
-    that the solver may legitimately park at the bound; those are skipped
-    because any value of theirs supports the same optimum.
+    A multiplier that ``zero_multipliers`` proves 0 is skipped: the
+    builders bound it by that proven 0, which cuts nothing off and which
+    no escalation changes, not by the heuristic bound. Multipliers of
+    vacuous rows (capacity of an unplaced EN, eligibility of a barred
+    pair, rows with zero demand) are costless degenerate rays that the
+    solver may legitimately park at the bound; those are skipped too,
+    because any value of theirs supports the same optimum. Between the
+    two, eta is never checked: it is proven 0 on every eligible pair.
     """
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
+    mu2_zero, _ = zero_multipliers(inst)
     val = sol.values
     flags: List[str] = []
 
@@ -458,7 +503,8 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
                          f"{limit:.6g}")
 
     for k in range(K):
-        check(val[lay.mu2[k]], mu2_max, f"mu2[{k}]")
+        if not mu2_zero[k]:
+            check(val[lay.mu2[k]], mu2_max, f"mu2[{k}]")
         placed = [val[lay.t[j, k]] > 0.5 for j in range(N)]
         for j in range(N):
             if placed[j]:
@@ -477,8 +523,6 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
             for j in range(N):
                 if (placed[j] and inst.eligible[i, j, k]
                         and inst.demand[i, k] > 0):
-                    check(val[lay.eta[i, j, k]], unit_max,
-                          f"eta[{i},{j},{k}]")
                     check(val[lay.eps[i, j, k]], unit_max,
                           f"eps[{i},{j},{k}]")
     return flags

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from ._milp_base import (M_LIN, MilpLayout, ReformResult, add_dual_rows,
                          add_revenue_hull, build_base, extract_solution,
                          multiplier_bounds, solve_reformulation,
-                         validate_bigM)
+                         validate_bigM, zero_multipliers)
 from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
 
@@ -66,13 +66,19 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
     slacks by the EN capacity; the eligibility slack and the allocations
     by the per-AP demand; the budget slack by the budget. A bound of
     zero, as with no demand at all, is exact too: its slack is zero at
-    every follower optimum. The multiplier-side constants are the
-    heuristic bounds ``multiplier_bounds`` gives for ``m_lin``.
+    every follower optimum. On the multiplier side, the eligibility
+    (``cc5``) and budget (``cc6``) pairs take the bound 0 wherever
+    ``zero_multipliers`` proves it from the data; every other constant is
+    the heuristic bound ``multiplier_bounds`` gives for ``m_lin``. The
+    pairs are written either way, so the binary count stays
+    ``2K(M+1)(N+1)`` and HiGHS's presolve removes the pairs a bound of 0
+    settles.
     """
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     m, lay = build_base(inst, m_lin, "p1", flat=flat,
                         fix_price_level=fix_price_level)
     mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
+    mu2_zero, eta_zero = zero_multipliers(inst)
     delay_max = float(inst.delay_cap.max(initial=0.0))
     service_demand = float(inst.demand.sum(axis=0).max(initial=0.0))
     ap_demand = float(inst.demand.max(initial=0.0))
@@ -102,10 +108,11 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
         for i in range(M):
             for j in range(N):
                 _add_pair(m, lay, "cc5", f"{i}_{j}_{k}",
-                          rows[f"elig_{i}_{j}_{k}"],
-                          ap_demand, lay.eta[i, j, k], unit_max)
-        _add_pair(m, lay, "cc6", str(k), rows[f"budget_{k}"],
-                  budget, lay.mu2[k], mu2_max)
+                          rows[f"elig_{i}_{j}_{k}"], ap_demand,
+                          lay.eta[i, j, k],
+                          0.0 if eta_zero[i, j, k] else unit_max)
+        _add_pair(m, lay, "cc6", str(k), rows[f"budget_{k}"], budget,
+                  lay.mu2[k], 0.0 if mu2_zero[k] else mu2_max)
         for i in range(M):
             _add_pair(m, lay, "cc7", f"{i}_{k}",
                       ({lay.x_cloud[i, k]: -1.0}, 0.0),

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,15 @@ def tiny_config(seed, num_aps=None, num_ens=None, num_services=None,
 
 def tiny_instance(seed, **overrides):
     return sample_instance(tiny_config(seed, **overrides))
+
+
+def tight_budget(inst):
+    """``inst`` with each budget just above 60% of the most its service
+    can spend, so the budget row can bind and
+    ``_milp_base.zero_multipliers`` proves no budget multiplier 0."""
+    top = max(inst.cloud_price, inst.price_grid.max())
+    return dataclasses.replace(
+        inst, budget=0.6 * top * inst.demand.sum(axis=0) + 0.3)
 
 
 @pytest.fixture(scope="session")

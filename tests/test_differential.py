@@ -2,17 +2,29 @@
 P2/HiGHS and the brute-force oracle find the same optimum, or all three
 find the instance infeasible."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from edgemarket._milp_base import zero_multipliers
 from edgemarket.lp_core import MilpConfig
 from edgemarket.oracle import brute_force_bilevel
 from edgemarket.reform_dual import solve_p2
 from edgemarket.reform_kkt import solve_p1
 from edgemarket.tolerances import TOL
 
-from conftest import tiny_instance
+from conftest import tight_budget, tiny_instance
 
 CFG = MilpConfig(backend="highs")
+
+
+def _assert_matches(res, oracle, label=None):
+    if not oracle.feasible:
+        assert res.status == "infeasible", (label, res.status)
+        return
+    assert res.status == "optimal", (label, res.status)
+    assert abs(res.objective - oracle.profit) <= \
+        TOL.objective_match_rel * (1 + abs(oracle.profit)), \
+        (label, res.objective, oracle.profit)
 
 
 # Seeds 0-19 are the hand-picked suite; these are drawn past them.
@@ -23,14 +35,7 @@ def test_p1_p2_oracle_agree(seed):
     inst = tiny_instance(seed)
     oracle = brute_force_bilevel(inst, keep_log=False)
     for solve in (solve_p1, solve_p2):
-        res = solve(inst, CFG)
-        if not oracle.feasible:
-            assert res.status == "infeasible", (solve.__name__, res.status)
-            continue
-        assert res.status == "optimal", (solve.__name__, res.status)
-        assert abs(res.objective - oracle.profit) <= \
-            TOL.objective_match_rel * (1 + abs(oracle.profit)), \
-            (solve.__name__, res.objective, oracle.profit)
+        _assert_matches(solve(inst, CFG), oracle, solve.__name__)
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -40,11 +45,34 @@ def test_p2_bnb_oracle_agree(seed):
     optimum, or finds the instance infeasible with it."""
     inst = tiny_instance(seed)
     oracle = brute_force_bilevel(inst, keep_log=False)
-    res = solve_p2(inst, MilpConfig(backend="bnb"))
-    if not oracle.feasible:
-        assert res.status == "infeasible", res.status
-        return
-    assert res.status == "optimal", res.status
-    assert abs(res.objective - oracle.profit) <= \
-        TOL.objective_match_rel * (1 + abs(oracle.profit)), \
-        (res.objective, oracle.profit)
+    _assert_matches(solve_p2(inst, MilpConfig(backend="bnb")), oracle)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(20, 10**6))
+# Best-first search once ran out of time on these with no incumbent.
+@example(seed=4)
+@example(seed=7)
+@example(seed=13)
+def test_p1_bnb_oracle_agree(seed):
+    """P1 on the embedded branch-and-bound backend finds the oracle's
+    optimum, or finds the instance infeasible with it, well within its
+    time limit."""
+    inst = tiny_instance(seed)
+    oracle = brute_force_bilevel(inst, keep_log=False)
+    _assert_matches(solve_p1(inst, MilpConfig(backend="bnb", time_limit=30)),
+                    oracle)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unproven_budget_multipliers_match_oracle(seed):
+    """Where the budget can bind, ``mu2`` keeps its heuristic bound, and
+    P1, P2 and P2 on the embedded backend still find the oracle's
+    optimum."""
+    inst = tight_budget(tiny_instance(seed))
+    assert not zero_multipliers(inst)[0].any()
+    oracle = brute_force_bilevel(inst, keep_log=False)
+    for solve, config in ((solve_p1, CFG), (solve_p2, CFG),
+                          (solve_p2, MilpConfig(backend="bnb"))):
+        _assert_matches(solve(inst, config), oracle,
+                        (solve.__name__, config.backend))

@@ -6,14 +6,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgemarket.follower import (FollowerContext, FollowerInfeasibleError,
+from edgemarket import lp_core
+from edgemarket._milp_base import zero_multipliers
+from edgemarket.follower import (DualLayout, FollowerContext,
+                                 FollowerInfeasibleError,
                                  build_follower_dual, build_follower_lp,
                                  check_strong_duality,
                                  complementarity_residuals, dual_objective,
                                  solve_follower)
 from edgemarket.model import follower_cost
+from edgemarket.scenario import ScenarioConfig, sample_instance
 
-from conftest import tiny_instance
+from conftest import tight_budget, tiny_instance
 
 
 def _ctx(seed=1, k=0, price=0.03, placed=1):
@@ -154,3 +158,59 @@ def test_context_rejects_wrong_shapes():
     with pytest.raises(ValueError):
         FollowerContext(inst, 0, np.zeros(inst.num_ens + 1),
                         np.ones(inst.num_ens, dtype=int))
+
+
+def _barred(inst, seed):
+    """``inst`` with a random half of its (AP, EN, service) triples
+    barred, short paths among them, so that eligibility binds."""
+    mask = np.random.default_rng(seed).random(inst.eligible.shape) < 0.5
+    return dataclasses.replace(inst, eligible=mask.astype(int))
+
+
+def _zero_multiplier_cases():
+    tiny = [tiny_instance(s) for s in range(40)]
+    desk = [sample_instance(ScenarioConfig(seed=s, num_aps=6, num_ens=3,
+                                           num_services=4))
+            for s in range(5)]
+    base = [sample_instance(ScenarioConfig(seed=s)) for s in range(3)]
+    # (instance, configurations drawn); the tight budgets and barred
+    # pairs check that the proof stays out where those rows can bind.
+    return ([(inst, 8) for inst in tiny] + [(inst, 20) for inst in desk]
+            + [(inst, 20) for inst in base]
+            + [(tight_budget(inst), 8) for inst in tiny[:20]]
+            + [(_barred(inst, s), 8) for s, inst in enumerate(tiny[:20])])
+
+
+def test_zero_multiplier_bounds_are_exact():
+    """At random prices and placements, the explicit follower dual with
+    every multiplier ``zero_multipliers`` proves 0 fixed at 0 still
+    reaches the primal optimum."""
+    rng = np.random.default_rng(12)
+    checked = fixed_mu2 = 0
+    for inst, draws in _zero_multiplier_cases():
+        M, N, K = inst.num_aps, inst.num_ens, inst.num_services
+        mu2_zero, eta_zero = zero_multipliers(inst)
+        lay = DualLayout(M, N)
+        for _ in range(draws):
+            level = rng.integers(0, inst.num_price_levels, size=N)
+            prices = inst.price_grid[np.arange(N), level]
+            for k in range(K):
+                ctx = FollowerContext(inst, k, prices,
+                                      rng.integers(0, 2, size=N))
+                primal = lp_core.solve_lp(build_follower_lp(ctx))
+                if primal.status != lp_core.OPTIMAL:
+                    continue
+                dual = build_follower_dual(ctx)
+                fixed = [lay.eta(i, j) for i in range(M) for j in range(N)
+                         if eta_zero[i, j, k]]
+                if mu2_zero[k]:
+                    fixed.append(lay.mu2())
+                    fixed_mu2 += 1
+                for vid in fixed:
+                    dual.add_constr({vid: 1.0}, lp_core.LE, 0.0)
+                dsol = lp_core.solve_lp(dual)
+                assert dsol.status == lp_core.OPTIMAL
+                assert abs(dsol.objective - primal.objective) <= \
+                    1e-9 * max(1.0, abs(primal.objective)), (k, prices)
+                checked += 1
+    assert checked > 1000 and fixed_mu2 > 0

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgemarket._milp_base import M_LIN
+from edgemarket._milp_base import M_LIN, zero_multipliers
 from edgemarket.lp_core import LE, MilpConfig, solve_lp
 from edgemarket.model import leader_profit, validate_instance
 from edgemarket.oracle import brute_force_bilevel, compare
@@ -15,7 +15,7 @@ from edgemarket.reform_kkt import (build_p1, extract_solution_p1, solve_p1,
                                    validate_bigM)
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
-from conftest import tiny_instance
+from conftest import tight_budget, tiny_instance
 
 CFG = MilpConfig(backend="highs")
 
@@ -49,24 +49,39 @@ def test_derive_bigm_dominates_data():
     assert seen == bounds.keys()
 
 
-def test_escalation_changes_only_multiplier_rows():
-    """Raising the multiplier scale leaves every slack-side row and every
-    hull sum row as is."""
-    inst = tiny_instance(0)
-    base, scaled = (build_p1(inst, m)[0].constraints
+def _rows_at_two_scales(build, inst):
+    base, scaled = (build(inst, m)[0].constraints
                     for m in (M_LIN, 10 * M_LIN))
     assert [r.name for r in base] == [r.name for r in scaled]
+    return base, scaled
+
+
+def test_escalation_changes_only_multiplier_rows():
+    """Raising the multiplier scale leaves every slack-side row and every
+    hull sum row as is. The budget is lowered below what the services
+    can spend, so ``mu2`` keeps a heuristic bound that scales."""
+    inst = tight_budget(tiny_instance(0))
+    base, scaled = _rows_at_two_scales(build_p1, inst)
     families = {a.name.split("_")[0] for a, b in zip(base, scaled) if a != b}
     assert "cc2m" in families and "piub1" in families
     # No cc*s (slack-side) row is among them.
     assert families <= {f"cc{n}m" for n in range(1, 9)} | {
         "piub1", "gub1", "glb"}
-    p2_base, p2_scaled = (build_p2(inst, m)[0].constraints
-                          for m in (M_LIN, 10 * M_LIN))
+    p2_base, p2_scaled = _rows_at_two_scales(build_p2, inst)
     sums = [(a, b) for a, b in zip(base + p2_base, scaled + p2_scaled)
             if a.name.split("_")[0] in ("hsum", "pisum")]
     assert {a.name.split("_")[0] for a, _ in sums} == {"hsum", "pisum"}
     assert all(a == b for a, b in sums)
+
+    # At the seed's own budget, mu2 and eta are proven 0, and their rows
+    # keep that bound at every scale.
+    inst = tiny_instance(0)
+    mu2_zero, eta_zero = zero_multipliers(inst)
+    assert mu2_zero.all() and eta_zero.all()
+    base, scaled = _rows_at_two_scales(build_p1, inst)
+    families = {a.name.split("_")[0] for a, b in zip(base, scaled) if a != b}
+    assert "cc2m" in families
+    assert not families & {"piub1", "cc5m", "cc6m"}
 
 
 @pytest.mark.parametrize("solve", [solve_p1, solve_p2])
