@@ -32,7 +32,7 @@ for line in mps.splitlines()[:6]:
 sol = solve_milp(model, MilpConfig(backend="highs"))
 var_names, _ = mps_names(model)
 sol_text = "\n".join(f"{var_names[vid]} {val!r}"
-                     for vid, val in sol.values.items())
+                     for vid, val in enumerate(sol.x.tolist()))
 imported = import_solution(model, sol_text)
 print(f"\nembedded objective  {sol.objective:.9f}")
 print(f"imported objective  {imported.objective:.9f}  "

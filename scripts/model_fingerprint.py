@@ -1,0 +1,79 @@
+"""Print one SHA-256 per compiled P1 and P2 model over a fixed suite.
+
+The suite is P1 and P2, each plain (``dyn``), with ``flat=True`` and with
+``fix_price_level=1``, on tiny seeds 0-39, desk seeds 0-4 (6x3x4) and
+base seeds 0-2 (the default size): 288 models. Each hash covers what
+HiGHS is handed and how the model names it: the objective sense and
+cost vector, the CSC matrix, the row and column bounds, the binary ids,
+and the variable and constraint names. A change that claims to leave
+every model unchanged prints the same lines as its parent:
+
+    python3 scripts/model_fingerprint.py > after.txt
+    python3 scripts/model_fingerprint.py /path/to/parent/src > before.txt
+    diff before.txt after.txt
+
+The optional argument is the ``src`` directory of the checkout to load
+``edgemarket`` from; by default it is this repository's own ``src``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TINY_PRICES = (0.01, 0.03, 0.05)
+
+
+def _instances(scenario):
+    """(label, instance) of the suite, with the recipes of ``perfbench``
+    and the test suite."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        yield f"tiny/{seed}", scenario.sample_instance(scenario.ScenarioConfig(
+            seed=seed, num_aps=int(rng.integers(1, 4)),
+            num_ens=int(rng.integers(1, 3)),
+            num_services=int(rng.integers(1, 3)), price_levels=TINY_PRICES))
+    for seed in range(5):
+        yield f"desk/{seed}", scenario.sample_instance(scenario.ScenarioConfig(
+            seed=seed, num_aps=6, num_ens=3, num_services=4))
+    for seed in range(3):
+        yield f"base/{seed}", scenario.sample_instance(
+            scenario.ScenarioConfig(seed=seed))
+
+
+def fingerprint(model) -> str:
+    cm = model._compiled_form()
+    digest = hashlib.sha256(model.obj_sense.encode())
+    for a in (cm.cost, cm.A.indptr, cm.A.indices, cm.A.data, cm.row_lo,
+              cm.row_hi, cm.col_lo, cm.col_hi, cm.binary):
+        a = np.ascontiguousarray(a)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    for names in ([v.name for v in model.variables],
+                  [c.name for c in model.constraints]):
+        digest.update("\n".join(names).encode() + b"\0")
+    return digest.hexdigest()
+
+
+def main(argv) -> int:
+    here = Path(__file__).resolve().parents[1] / "src"
+    src = Path(argv[1]) if len(argv) > 1 else here
+    sys.path.insert(0, str(src))
+    from edgemarket import reform_dual, reform_kkt, scenario
+
+    variants = (("dyn", {}), ("flat", {"flat": True}),
+                ("fixlvl1", {"fix_price_level": 1}))
+    for label, inst in _instances(scenario):
+        for method, build in (("p1", reform_kkt.build_p1),
+                              ("p2", reform_dual.build_p2)):
+            for variant, kwargs in variants:
+                model, _ = build(inst, **kwargs)
+                print(f"{label}/{method}/{variant} {fingerprint(model)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -44,8 +44,10 @@ can hide from the tests: ``follower.build_follower_dual``, the oracle's
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,30 +67,34 @@ class IntegrityError(Exception):
 
 @dataclass
 class MilpLayout:
-    """Maps every model symbol (with its indices) to a variable id."""
+    """The column ids of every model symbol, one int array per symbol,
+    shaped like the symbol with the service index last: ``t[j, k]``,
+    ``x_edge[i, j, k]``, ``pi[j, v, k]``. A solved point ``sol.x`` is read
+    by indexing it with them, ``sol.x[lay.t]``. The multiplier fields are
+    named as ``DualSolution``'s."""
 
-    r: Dict[Tuple[int, int], int] = field(default_factory=dict)        # (j, v)
-    z: Dict[int, int] = field(default_factory=dict)                    # j
-    t: Dict[Tuple[int, int], int] = field(default_factory=dict)        # (j, k)
-    x_cloud: Dict[Tuple[int, int], int] = field(default_factory=dict)  # (i, k)
-    x_edge: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    y_cloud: Dict[int, int] = field(default_factory=dict)              # k
-    y_edge: Dict[Tuple[int, int], int] = field(default_factory=dict)   # (j, k)
-    avg_delay: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    xi: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    sigma: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    tau: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    mu1: Dict[int, int] = field(default_factory=dict)
-    mu2: Dict[int, int] = field(default_factory=dict)
-    lam: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    gamma: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    eta: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    zeta: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    eps: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    pi: Dict[Tuple[int, int, int], int] = field(default_factory=dict)  # (j, v, k)
-    h: Dict[Tuple[int, int, int], int] = field(default_factory=dict)   # (j, v, k)
-    g: Dict[Tuple[int, int], int] = field(default_factory=dict)        # (j, k)
-    rev: Dict[int, int] = field(default_factory=dict)                  # k
+    r: np.ndarray           # (N, V) price level picks
+    z: np.ndarray           # (N,) open ENs
+    t: np.ndarray           # (N, K) placements
+    x_cloud: np.ndarray     # (M, K)
+    x_edge: np.ndarray      # (M, N, K)
+    y_cloud: np.ndarray     # (K,)
+    y_edge: np.ndarray      # (N, K)
+    avg_delay: np.ndarray   # (M, K)
+    xi: np.ndarray          # (M, K)
+    sigma: np.ndarray       # (M, K)
+    tau: np.ndarray         # (M, K)
+    mu1: np.ndarray         # (K,)
+    mu2: np.ndarray         # (K,)
+    lam: np.ndarray         # (N, K)
+    gamma: np.ndarray       # (N, K)
+    eta: np.ndarray         # (M, N, K)
+    zeta: np.ndarray        # (M, K)
+    eps: np.ndarray         # (M, N, K)
+    pi: np.ndarray          # (N, V, K) shares of mu2 in r * mu2
+    g: np.ndarray           # (N, K) t * gamma
+    rev: np.ndarray         # (K,) edge revenue
+    h: np.ndarray           # (N, V, K) shares of y, from add_revenue_hull
     # P1's complementarity pairs as (switch, multiplier)
     pairs: List[Tuple[int, int]] = field(default_factory=list)
 
@@ -157,11 +163,17 @@ def zero_multipliers(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
 def build_base(inst: Instance, m_lin: float, name: str,
                flat: bool = False,
                fix_price_level: Optional[int] = None,
-               ) -> Tuple[LinearModel, MilpLayout]:
+               ) -> Tuple[LinearModel, MilpLayout, SimpleNamespace]:
     """Leader block, follower primal feasibility, product linearizations
     and the dual-side revenue row ``revdef`` common to P1 and P2. The
     builders add each service's dual rows and its ``add_revenue_hull``
     rows after this.
+
+    Returns the model, its layout, and the layout's ids as nested lists
+    of ints with the service index first: ``ids.x_edge[k][i][j]``,
+    ``ids.t[k][j]``, and ``ids.r[j][v]``. The row writers read these,
+    since each read of an array element is a numpy call and a build
+    reads thousands.
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
     products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
@@ -183,150 +195,128 @@ def build_base(inst: Instance, m_lin: float, name: str,
     mu2_max, gamma_max, _ = multiplier_bounds(inst, m_lin)
     mu2_zero, eta_zero = zero_multipliers(inst)
     m = LinearModel(name=name, sense="max")
-    lay = MilpLayout()
-
-    for j in range(N):
-        lay.z[j] = m.add_var(f"z_{j}", binary=True)
-    for j in range(N):
-        for k in range(K):
-            lay.t[j, k] = m.add_var(f"t_{j}_{k}", binary=True)
-    for j in range(N):
-        for v in range(V):
-            lay.r[j, v] = m.add_var(f"r_{j}_{v}", binary=True)
-
+    z = m.add_vars("z", (N,), binary=True)
+    t = m.add_vars("t", (N, K), binary=True)
+    r = m.add_vars("r", (N, V), binary=True)
+    # Each service's columns in creation order: layout field, name
+    # prefix, shape and lower bound.
+    free = -math.inf
+    service_columns = (
+        ("x_cloud", "x0", (M,), 0.0), ("x_edge", "x", (M, N), 0.0),
+        ("y_cloud", "y0", (), 0.0), ("y_edge", "y", (N,), 0.0),
+        ("avg_delay", "da", (M,), 0.0), ("xi", "xi", (M,), free),
+        ("sigma", "sigma", (M,), free), ("tau", "tau", (M,), 0.0),
+        ("mu1", "mu1", (), 0.0), ("mu2", "mu2", (), 0.0),
+        ("lam", "lam", (N,), 0.0), ("gamma", "gamma", (N,), 0.0),
+        ("eta", "eta", (M, N), 0.0), ("zeta", "zeta", (M,), 0.0),
+        ("eps", "eps", (M, N), 0.0), ("pi", "pi", (N, V), 0.0),
+        ("g", "g", (N,), 0.0), ("rev", "rev", (), free))
+    lay = MilpLayout(r=r, z=z, t=t, h=np.full((N, V, K), -1), **{
+        sym: np.empty(shape + (K,), np.int64)
+        for sym, _, shape, _ in service_columns})
+    ids = SimpleNamespace(r=r.tolist(), z=z.tolist(), t=t.T.tolist(), **{
+        sym: [] for sym, *_ in service_columns})
+    eta_ub = np.where(eta_zero, 0.0, math.inf)
     for k in range(K):
-        for i in range(M):
-            lay.x_cloud[i, k] = m.add_var(f"x0_{i}_{k}")
-        for i in range(M):
-            for j in range(N):
-                lay.x_edge[i, j, k] = m.add_var(f"x_{i}_{j}_{k}")
-        lay.y_cloud[k] = m.add_var(f"y0_{k}")
-        for j in range(N):
-            lay.y_edge[j, k] = m.add_var(f"y_{j}_{k}")
-        for i in range(M):
-            lay.avg_delay[i, k] = m.add_var(f"da_{i}_{k}")
-        for i in range(M):
-            lay.xi[i, k] = m.add_var(f"xi_{i}_{k}", lb=-math.inf)
-        for i in range(M):
-            lay.sigma[i, k] = m.add_var(f"sigma_{i}_{k}", lb=-math.inf)
-        for i in range(M):
-            lay.tau[i, k] = m.add_var(f"tau_{i}_{k}")
-        lay.mu1[k] = m.add_var(f"mu1_{k}")
-        lay.mu2[k] = m.add_var(f"mu2_{k}",
-                               ub=0.0 if mu2_zero[k] else math.inf)
-        for j in range(N):
-            lay.lam[j, k] = m.add_var(f"lam_{j}_{k}")
-        for j in range(N):
-            lay.gamma[j, k] = m.add_var(f"gamma_{j}_{k}")
-        for i in range(M):
-            for j in range(N):
-                lay.eta[i, j, k] = m.add_var(
-                    f"eta_{i}_{j}_{k}",
-                    ub=0.0 if eta_zero[i, j, k] else math.inf)
-        for i in range(M):
-            lay.zeta[i, k] = m.add_var(f"zeta_{i}_{k}")
-        for i in range(M):
-            for j in range(N):
-                lay.eps[i, j, k] = m.add_var(f"eps_{i}_{j}_{k}")
-        for j in range(N):
-            for v in range(V):
-                lay.pi[j, v, k] = m.add_var(f"pi_{j}_{v}_{k}")
-        for j in range(N):
-            lay.g[j, k] = m.add_var(f"g_{j}_{k}")
-        lay.rev[k] = m.add_var(f"rev_{k}", lb=-math.inf)
+        ub = {"mu2": 0.0 if mu2_zero[k] else math.inf, "eta": eta_ub[:, :, k]}
+        suffix = f"_{k}"
+        for sym, prefix, shape, lb in service_columns:
+            block = m.add_vars(prefix, shape, suffix, lb,
+                               ub.get(sym, math.inf))
+            getattr(lay, sym)[..., k] = block
+            getattr(ids, sym).append(block.tolist())
 
     # Leader constraints: placement only on active ENs, shared capacity,
     # storage, one grid price per EN.
+    z, t, r, y = ids.z, ids.t, ids.r, ids.y_edge
     for j in range(N):
         for k in range(K):
-            m.add_constr({lay.t[j, k]: 1.0, lay.z[j]: -1.0}, LE, 0.0,
+            m.add_constr({t[k][j]: 1.0, z[j]: -1.0}, LE, 0.0,
                          name=f"place_{j}_{k}")
     for j in range(N):
-        coeffs = {lay.y_edge[j, k]: 1.0 for k in range(K)}
-        coeffs[lay.z[j]] = -inst.compute_cap[j]
+        coeffs = {y[k][j]: 1.0 for k in range(K)}
+        coeffs[z[j]] = -inst.compute_cap[j]
         m.add_constr(coeffs, LE, 0.0, name=f"encap_{j}")
     for j in range(N):
-        coeffs = {lay.t[j, k]: inst.service_size[k] for k in range(K)}
-        coeffs[lay.z[j]] = -inst.storage_cap[j]
+        coeffs = {t[k][j]: inst.service_size[k] for k in range(K)}
+        coeffs[z[j]] = -inst.storage_cap[j]
         m.add_constr(coeffs, LE, 0.0, name=f"storage_{j}")
     for j in range(N):
-        m.add_constr({lay.r[j, v]: 1.0 for v in range(V)}, EQ, 1.0,
-                     name=f"onehot_{j}")
+        m.add_constr(dict.fromkeys(r[j], 1.0), EQ, 1.0, name=f"onehot_{j}")
     if flat:
         if not np.allclose(inst.price_grid, inst.price_grid[0][None, :]):
             raise ValueError("flat pricing requires identical grids on all ENs")
         for j in range(1, N):
             for v in range(V):
-                m.add_constr({lay.r[j, v]: 1.0, lay.r[0, v]: -1.0}, EQ, 0.0,
+                m.add_constr({r[j][v]: 1.0, r[0][v]: -1.0}, EQ, 0.0,
                              name=f"flat_{j}_{v}")
     if fix_price_level is not None:
         for j in range(N):
-            m.add_constr({lay.r[j, fix_price_level]: 1.0}, EQ, 1.0,
+            m.add_constr({r[j][fix_price_level]: 1.0}, EQ, 1.0,
                          name=f"fixlvl_{j}")
 
     # Per-service primal feasibility; the budget row uses the revenue
     # variable in place of the bilinear price*procurement term.
     for k in range(K):
         w = inst.delay_weight[k]
-        cols = FollowerColumns(
-            x0=[lay.x_cloud[i, k] for i in range(M)],
-            x=[[lay.x_edge[i, j, k] for j in range(N)] for i in range(M)],
-            y0=lay.y_cloud[k], y=[lay.y_edge[j, k] for j in range(N)],
-            da=[lay.avg_delay[i, k] for i in range(M)],
-            rev=lay.rev[k], t=[lay.t[j, k] for j in range(N)])
+        x0, x, y0, rev = (ids.x_cloud[k], ids.x_edge[k], ids.y_cloud[k],
+                          ids.rev[k])
+        cols = FollowerColumns(x0=x0, x=x, y0=y0, y=y[k],
+                               da=ids.avg_delay[k], rev=rev, t=t[k])
         add_follower_rows(m, inst, k, cols, prices=None, placed=None)
 
         # pi[j,v,k] = r[j,v] * mu2[k], as the hull over EN j's one-hot
         # price choice: mu2 splits across the levels, each share boxed
         # by its binary.
+        mu2, pi = ids.mu2[k], ids.pi[k]
         mu2_ub = 0.0 if mu2_zero[k] else mu2_max
         for j in range(N):
             for v in range(V):
-                m.add_constr({lay.pi[j, v, k]: 1.0, lay.r[j, v]: -mu2_ub},
+                m.add_constr({pi[j][v]: 1.0, r[j][v]: -mu2_ub},
                              LE, 0.0, name=f"piub1_{j}_{v}_{k}")
-            coeffs = {lay.pi[j, v, k]: 1.0 for v in range(V)}
-            coeffs[lay.mu2[k]] = -1.0
+            coeffs = dict.fromkeys(pi[j], 1.0)
+            coeffs[mu2] = -1.0
             m.add_constr(coeffs, EQ, 0.0, name=f"pisum_{j}_{k}")
         # g[j,k] = t[j,k] * gamma[j,k]
+        g, gamma = ids.g[k], ids.gamma[k]
         for j in range(N):
-            g_id, t_id = lay.g[j, k], lay.t[j, k]
-            m.add_constr({g_id: 1.0, t_id: -gamma_max}, LE, 0.0,
+            m.add_constr({g[j]: 1.0, t[k][j]: -gamma_max}, LE, 0.0,
                          name=f"gub1_{j}_{k}")
-            m.add_constr({g_id: 1.0, lay.gamma[j, k]: -1.0}, LE, 0.0,
+            m.add_constr({g[j]: 1.0, gamma[j]: -1.0}, LE, 0.0,
                          name=f"gub2_{j}_{k}")
-            m.add_constr({lay.gamma[j, k]: 1.0, g_id: -1.0, t_id: gamma_max},
+            m.add_constr({gamma[j]: 1.0, g[j]: -1.0, t[k][j]: gamma_max},
                          LE, gamma_max, name=f"glb_{j}_{k}")
 
         # revdef: edge revenue written in dual terms. With the rows of
         # add_revenue_hull it is the strong-duality equality.
-        coeffs = {lay.rev[k]: 1.0, lay.y_cloud[k]: inst.cloud_price,
-                  lay.mu2[k]: inst.budget[k]}
+        xi, tau, eta = ids.xi[k], ids.tau[k], ids.eta[k]
+        coeffs = {rev: 1.0, y0: inst.cloud_price, mu2: inst.budget[k]}
         for i in range(M):
-            coeffs[lay.x_cloud[i, k]] = w * inst.delay_cloud[i]
-            coeffs[lay.xi[i, k]] = -inst.demand[i, k]
-            coeffs[lay.tau[i, k]] = float(inst.delay_cap[k])
+            coeffs[x0[i]] = w * inst.delay_cloud[i]
+            coeffs[xi[i]] = -inst.demand[i, k]
+            coeffs[tau[i]] = float(inst.delay_cap[k])
             for j in range(N):
-                coeffs[lay.x_edge[i, j, k]] = w * inst.delay_edge[i, j]
-                coeffs[lay.eta[i, j, k]] = (inst.demand[i, k]
-                                            * inst.eligible[i, j, k])
+                coeffs[x[i][j]] = w * inst.delay_edge[i, j]
+                coeffs[eta[i][j]] = (inst.demand[i, k]
+                                     * inst.eligible[i, j, k])
         for j in range(N):
-            coeffs[lay.g[j, k]] = inst.compute_cap[j]
+            coeffs[g[j]] = inst.compute_cap[j]
         m.add_constr(coeffs, EQ, 0.0, name=f"revdef_{k}")
 
     obj: Dict[int, float] = {}
     for k in range(K):
-        obj[lay.rev[k]] = 1.0
+        obj[ids.rev[k]] = 1.0
         for j in range(N):
-            obj[lay.y_edge[j, k]] = -inst.variable_cost[j] / inst.compute_cap[j]
-            obj[lay.t[j, k]] = -inst.placement_cost[j, k]
+            obj[y[k][j]] = -inst.variable_cost[j] / inst.compute_cap[j]
+            obj[t[k][j]] = -inst.placement_cost[j, k]
     for j in range(N):
-        obj[lay.z[j]] = -inst.fixed_cost[j]
+        obj[z[j]] = -inst.fixed_cost[j]
     m.set_objective(obj)
-    return m, lay
+    return m, lay, ids
 
 
-def add_dual_rows(m: LinearModel, inst: Instance, lay: MilpLayout, k: int,
-                  sense: str) -> None:
+def add_dual_rows(m: LinearModel, inst: Instance, ids: SimpleNamespace,
+                  k: int, sense: str) -> None:
     """Write service ``k``'s dual rows into ``m``, one per primal column
     in the order ``y0, y_j, da_i, x0_i, x_ij``, in the ``<=`` form of
     ``build_follower_dual``. ``sense`` is EQ for P1's stationarity and LE
@@ -335,35 +325,36 @@ def add_dual_rows(m: LinearModel, inst: Instance, lay: MilpLayout, k: int,
     one-hot price selection."""
     M, N, V = inst.num_aps, inst.num_ens, inst.num_price_levels
     w = inst.delay_weight[k]
-    m.add_constr({lay.mu1[k]: 1.0, lay.mu2[k]: -inst.cloud_price},
+    mu1, mu2, lam, gamma, pi, r = (ids.mu1[k], ids.mu2[k], ids.lam[k],
+                                   ids.gamma[k], ids.pi[k], ids.r)
+    sigma, tau, xi, zeta, eta, eps = (ids.sigma[k], ids.tau[k], ids.xi[k],
+                                      ids.zeta[k], ids.eta[k], ids.eps[k])
+    m.add_constr({mu1: 1.0, mu2: -inst.cloud_price},
                  sense, inst.cloud_price, name=f"dy0_{k}")
     for j in range(N):
-        coeffs = {lay.lam[j, k]: 1.0, lay.gamma[j, k]: -1.0}
+        coeffs = {lam[j]: 1.0, gamma[j]: -1.0}
         for v in range(V):
             pg = inst.price_grid[j, v]
-            coeffs[lay.pi[j, v, k]] = -pg
-            coeffs[lay.r[j, v]] = -pg
+            coeffs[pi[j][v]] = -pg
+            coeffs[r[j][v]] = -pg
         m.add_constr(coeffs, sense, 0.0, name=f"dy_{j}_{k}")
     for i in range(M):
-        m.add_constr({lay.sigma[i, k]: -inst.demand[i, k],
-                      lay.tau[i, k]: -1.0}, sense, 0.0, name=f"dda_{i}_{k}")
+        m.add_constr({sigma[i]: -inst.demand[i, k], tau[i]: -1.0}, sense,
+                     0.0, name=f"dda_{i}_{k}")
     for i in range(M):
-        m.add_constr({lay.xi[i, k]: 1.0,
-                      lay.sigma[i, k]: inst.delay_cloud[i],
-                      lay.mu1[k]: -1.0, lay.zeta[i, k]: 1.0},
+        m.add_constr({xi[i]: 1.0, sigma[i]: inst.delay_cloud[i], mu1: -1.0,
+                      zeta[i]: 1.0},
                      sense, w * inst.delay_cloud[i], name=f"dx0_{i}_{k}")
     for i in range(M):
         for j in range(N):
-            m.add_constr({lay.xi[i, k]: 1.0,
-                          lay.sigma[i, k]: inst.delay_edge[i, j],
-                          lay.lam[j, k]: -1.0, lay.eta[i, j, k]: -1.0,
-                          lay.eps[i, j, k]: 1.0},
+            m.add_constr({xi[i]: 1.0, sigma[i]: inst.delay_edge[i, j],
+                          lam[j]: -1.0, eta[i][j]: -1.0, eps[i][j]: 1.0},
                          sense, w * inst.delay_edge[i, j],
                          name=f"dx_{i}_{j}_{k}")
 
 
 def add_revenue_hull(m: LinearModel, inst: Instance, lay: MilpLayout,
-                     k: int) -> None:
+                     ids: SimpleNamespace, k: int) -> None:
     """Write service ``k``'s revenue as price times procurement:
     ``revsum``, ``rev[k] = sum_{j,v} pg[j,v] h[j,v,k]``, over the hull of
     ``h = r * y``: ``hub1``, ``h[j,v,k] <= C_j r[j,v]``, and ``hsum``,
@@ -372,29 +363,36 @@ def add_revenue_hull(m: LinearModel, inst: Instance, lay: MilpLayout,
     rows ``h <= y`` and ``y - h <= C_j (1 - r)``, which are not written.
     With ``revdef`` this is the strong-duality equality."""
     N, V = inst.num_ens, inst.num_price_levels
+    h = m.add_vars("h", (N, V), f"_{k}")
+    lay.h[:, :, k] = h
+    h, r, y, rev = h.tolist(), ids.r, ids.y_edge[k], ids.rev[k]
     # y splits across the price levels, each share boxed by its binary.
     for j in range(N):
         cap = inst.compute_cap[j]
         for v in range(V):
-            h_id = m.add_var(f"h_{j}_{v}_{k}")
-            lay.h[j, v, k] = h_id
-            m.add_constr({h_id: 1.0, lay.r[j, v]: -cap}, LE, 0.0,
+            m.add_constr({h[j][v]: 1.0, r[j][v]: -cap}, LE, 0.0,
                          name=f"hub1_{j}_{v}_{k}")
-        coeffs = {lay.h[j, v, k]: 1.0 for v in range(V)}
-        coeffs[lay.y_edge[j, k]] = -1.0
+        coeffs = dict.fromkeys(h[j], 1.0)
+        coeffs[y[j]] = -1.0
         m.add_constr(coeffs, EQ, 0.0, name=f"hsum_{j}_{k}")
-    coeffs = {lay.rev[k]: 1.0}
+    coeffs = {rev: 1.0}
     for j in range(N):
         for v in range(V):
-            coeffs[lay.h[j, v, k]] = -inst.price_grid[j, v]
+            coeffs[h[j][v]] = -inst.price_grid[j, v]
     m.add_constr(coeffs, EQ, 0.0, name=f"revsum_{k}")
 
 
-def _rounded_binary(sol: MilpSolution, vid: int, name: str) -> int:
-    val = sol.values[vid]
-    if abs(val - round(val)) > TOL.binary_integrality:
-        raise IntegrityError(f"binary {name} not integral: {val}")
-    return int(round(val))
+def _binaries(x: np.ndarray, ids: np.ndarray, name: str) -> np.ndarray:
+    """The values of the binaries ``ids`` in ``x``, rounded; raises
+    IntegrityError naming the first one that is not integral."""
+    val = x[ids]
+    bits = np.round(val)
+    bad = np.abs(val - bits) > TOL.binary_integrality
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        raise IntegrityError(f"binary {name}[{','.join(map(str, index))}] "
+                             f"not integral: {val[index]}")
+    return bits.astype(int)
 
 
 def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
@@ -409,54 +407,35 @@ def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     """
     if sol.status not in ("optimal", "gap-limit"):
         raise ValueError(f"cannot extract from solution with status {sol.status}")
-    M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
-    level = np.zeros(N, dtype=int)
-    for j in range(N):
-        picks = [v for v in range(V)
-                 if _rounded_binary(sol, lay.r[j, v], f"r[{j},{v}]")]
-        if len(picks) != 1:
-            raise IntegrityError(f"EN {j} selects {len(picks)} price levels")
-        level[j] = picks[0]
+    x = sol.x
+    r = _binaries(x, lay.r, "r")
+    picks = r.sum(axis=1)
+    if (picks != 1).any():
+        j = int(np.argmax(picks != 1))
+        raise IntegrityError(f"EN {j} selects {picks[j]} price levels")
+    level = r.argmax(axis=1)
     ld = LeaderDecision(
         price_level=level,
-        price=np.array([inst.price_grid[j, level[j]] for j in range(N)]),
-        active=np.array([_rounded_binary(sol, lay.z[j], f"z[{j}]")
-                         for j in range(N)]),
-        placed=np.array([[_rounded_binary(sol, lay.t[j, k], f"t[{j},{k}]")
-                          for k in range(K)] for j in range(N)]),
+        price=inst.price_grid[np.arange(inst.num_ens), level],
+        active=_binaries(x, lay.z, "z"),
+        placed=_binaries(x, lay.t, "t"),
     )
     followers, duals = [], []
-    for k in range(K):
+    for k in range(inst.num_services):
         fs = FollowerSolution(
-            x_cloud=np.array([sol.values[lay.x_cloud[i, k]] for i in range(M)]),
-            x_edge=np.array([[sol.values[lay.x_edge[i, j, k]] for j in range(N)]
-                             for i in range(M)]),
-            y_cloud=sol.values[lay.y_cloud[k]],
-            y_edge=np.array([sol.values[lay.y_edge[j, k]] for j in range(N)]),
-            avg_delay=np.array([sol.values[lay.avg_delay[i, k]]
-                                for i in range(M)]),
-            cost=0.0,
-        )
+            x_cloud=x[lay.x_cloud[:, k]], x_edge=x[lay.x_edge[:, :, k]],
+            y_cloud=float(x[lay.y_cloud[k]]), y_edge=x[lay.y_edge[:, k]],
+            avg_delay=x[lay.avg_delay[:, k]], cost=0.0)
         fs.cost = follower_cost(inst, ld.price, k, fs)
         followers.append(fs)
-        duals.append(DualSolution(
-            xi=np.array([sol.values[lay.xi[i, k]] for i in range(M)]),
-            sigma=np.array([sol.values[lay.sigma[i, k]] for i in range(M)]),
-            tau=np.array([sol.values[lay.tau[i, k]] for i in range(M)]),
-            mu1=sol.values[lay.mu1[k]],
-            mu2=sol.values[lay.mu2[k]],
-            lam=np.array([sol.values[lay.lam[j, k]] for j in range(N)]),
-            gamma=np.array([sol.values[lay.gamma[j, k]] for j in range(N)]),
-            eta=np.array([[sol.values[lay.eta[i, j, k]] for j in range(N)]
-                          for i in range(M)]),
-            zeta=np.array([sol.values[lay.zeta[i, k]] for i in range(M)]),
-            eps=np.array([[sol.values[lay.eps[i, j, k]] for j in range(N)]
-                          for i in range(M)]),
-        ))
+        duals.append(DualSolution(**{
+            f.name: x[getattr(lay, f.name)[..., k]]
+            for f in dataclasses.fields(DualSolution)}))
         direct = float(ld.price @ fs.y_edge)
-        if abs(sol.values[lay.rev[k]] - direct) > 1e-6 * (1.0 + abs(direct)):
+        rev = float(x[lay.rev[k]])
+        if abs(rev - direct) > 1e-6 * (1.0 + abs(direct)):
             raise IntegrityError(
-                f"revenue variable for service {k} is {sol.values[lay.rev[k]]}"
+                f"revenue variable for service {k} is {rev}"
                 f" but price @ y gives {direct}")
     profit = leader_profit(inst, ld, followers)
     if sol.status == "optimal":
@@ -490,41 +469,32 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     solver may legitimately park at the bound; those are skipped too,
     because any value of theirs supports the same optimum. Between the
     two, eta is never checked: it is proven 0 on every eligible pair.
+    Flags come family by family, each in index order.
     """
-    M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
     mu2_zero, _ = zero_multipliers(inst)
-    val = sol.values
+    x = sol.x
+    placed = x[lay.t] > 0.5
+    checks = [(lay.mu2, ~mu2_zero, mu2_max, "mu2"),
+              (lay.gamma, placed, unit_max, "Gamma")]
+    if lay.pairs:
+        demand = inst.demand > 0
+        checks += [(lay.tau, demand, tau_max, "tau"),
+                   (lay.zeta, demand, unit_max, "zeta"),
+                   (lay.mu1, True, unit_max, "mu1"),
+                   (lay.lam, placed, unit_max, "lambda"),
+                   (lay.eps, placed & (inst.eligible == 1) & demand[:, None],
+                    unit_max, "eps")]
     flags: List[str] = []
-
-    def check(value, limit, label):
-        if value >= 0.99 * limit:
-            flags.append(f"{label}: value {value:.6g} within 1% of M "
-                         f"{limit:.6g}")
-
-    for k in range(K):
-        if not mu2_zero[k]:
-            check(val[lay.mu2[k]], mu2_max, f"mu2[{k}]")
-        placed = [val[lay.t[j, k]] > 0.5 for j in range(N)]
-        for j in range(N):
-            if placed[j]:
-                check(val[lay.gamma[j, k]], unit_max, f"Gamma[{j},{k}]")
-        if not lay.pairs:
+    for ids, checked, limit, label in checks:
+        value = x[ids]
+        near = value >= 0.99 * limit
+        if not near.any():
             continue
-        for i in range(M):
-            if inst.demand[i, k] > 0:
-                check(val[lay.tau[i, k]], tau_max, f"tau[{i},{k}]")
-                check(val[lay.zeta[i, k]], unit_max, f"zeta[{i},{k}]")
-        check(val[lay.mu1[k]], unit_max, f"mu1[{k}]")
-        for j in range(N):
-            if placed[j]:
-                check(val[lay.lam[j, k]], unit_max, f"lambda[{j},{k}]")
-        for i in range(M):
-            for j in range(N):
-                if (placed[j] and inst.eligible[i, j, k]
-                        and inst.demand[i, k] > 0):
-                    check(val[lay.eps[i, j, k]], unit_max,
-                          f"eps[{i},{j},{k}]")
+        for index in np.argwhere(checked & near):
+            flags.append(f"{label}[{','.join(map(str, index))}]: value "
+                          f"{value[tuple(index)]:.6g} within 1% of M "
+                          f"{limit:.6g}")
     return flags
 
 

@@ -274,7 +274,7 @@ def _diagnose_infeasibility(ctx: FollowerContext) -> str:
         return "unknown"
     totals = {fam: 0.0 for fam in _FAMILIES}
     for sid, fam in slacks:
-        totals[fam] += sol.values.get(sid, 0.0)
+        totals[fam] += sol.x[sid]
     return max(totals, key=totals.get)
 
 

@@ -1,19 +1,24 @@
 """Solver-agnostic linear/mixed-integer model IR and solvers.
 
-``LinearModel`` is a plain sparse container. On its first solve it is
-compiled once, with vectorised checks, to arrays (cost vector, CSC
-matrix, row and column bounds); any change to the model drops that
-compiled form. ``solve_lp`` keeps one HiGHS instance per compiled model,
-through the bindings bundled with scipy (``scipy.optimize._highspy``):
-the first call hands HiGHS the LP that ``linprog(method="highs")`` did,
-and every later call changes only column bounds, so HiGHS hot-starts
-from the basis it already holds. MILPs are solved with an embedded
-best-first branch-and-bound over those relaxations (``solve_milp``),
-which starts each node from its parent's basis and branches on one-hot
-rows as sets, or with HiGHS' own branch-and-bound through the same
-binding, loaded by the same code. That MIP search runs with HiGHS's RINS
-and RENS sub-MIP heuristics off: on these models they spent most of the
-search's LP iterations and found none of its incumbents. An MPS writer
+``LinearModel`` is a plain sparse container. ``add_vars`` creates a
+block of variables and returns their ids as an int array shaped like
+the block, so a model symbol is an index array. A solved point is one
+float array, ``MilpSolution.x``, which those arrays index and which
+``max_violation`` checks against the compiled rows and bounds. On its
+first solve a model is compiled once, with vectorised checks, to arrays
+(cost vector, CSC matrix, row and column bounds); any change to the
+model drops that compiled form. ``solve_lp`` keeps one HiGHS instance
+per compiled model, through the bindings bundled with scipy
+(``scipy.optimize._highspy``): the first call hands HiGHS the LP that
+``linprog(method="highs")`` did, and every later call changes only
+column bounds, so HiGHS hot-starts from the basis it already holds.
+MILPs are solved with an embedded best-first branch-and-bound over
+those relaxations (``solve_milp``), which starts each node from its
+parent's basis and branches on one-hot rows as sets, or with HiGHS' own
+branch-and-bound through the same binding, loaded by the same code.
+That MIP search runs with HiGHS's RINS and RENS sub-MIP heuristics off:
+on these models they spent most of the search's LP iterations and found
+none of its incumbents. An MPS writer
 and a solution importer bridge to external solvers.
 """
 
@@ -31,7 +36,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -180,6 +185,24 @@ class LinearModel:
         self._compiled = None
         return vid
 
+    def add_vars(self, prefix: str, shape: Tuple[int, ...], suffix: str = "",
+                 lb=0.0, ub=math.inf, binary: bool = False) -> np.ndarray:
+        """One variable per index of ``shape``, created in row-major order
+        and named ``{prefix}_{i}_{j}...{suffix}``; their ids, as an int
+        array of that shape. ``lb`` and ``ub`` are numbers or arrays of
+        ``shape``."""
+        names = [prefix]
+        for size in shape:
+            names = [f"{name}_{i}" for name in names for i in range(size)]
+        n, start = len(names), len(self.variables)
+        lbs = (np.reshape(lb, n).tolist() if isinstance(lb, np.ndarray)
+               else itertools.repeat(lb))
+        ubs = (np.reshape(ub, n).tolist() if isinstance(ub, np.ndarray)
+               else itertools.repeat(ub))
+        for name, lo, hi in zip(names, lbs, ubs):
+            self.add_var(name + suffix, lo, hi, binary)
+        return np.arange(start, start + n).reshape(shape)
+
     def add_constr(self, coeffs: Dict[int, float], sense: str, rhs: float,
                    name: Optional[str] = None) -> int:
         if sense not in (LE, EQ, GE):
@@ -232,38 +255,29 @@ class LinearModel:
         """Raise ValueError on dangling ids or non-finite coefficients."""
         self._compiled_form()
 
-    def objective_value(self, values: Dict[int, float]) -> float:
-        return sum(coef * values[vid] for vid, coef in self.objective.items())
-
-    def max_violation(self, values: Dict[int, float]) -> float:
-        """Largest constraint/bound violation of a candidate point."""
-        worst = 0.0
-        for v in self.variables:
-            x = values[v.vid]
-            worst = max(worst, v.lb - x, x - v.ub)
-        for c in self.constraints:
-            lhs = sum(coef * values[vid] for vid, coef in c.coeffs.items())
-            if c.sense == LE:
-                worst = max(worst, lhs - c.rhs)
-            elif c.sense == GE:
-                worst = max(worst, c.rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - c.rhs))
-        return worst
+    def max_violation(self, x: np.ndarray) -> float:
+        """Largest row or column bound violation of the point ``x``."""
+        cm = self._compiled_form()
+        rows = cm.A @ x
+        gaps = (cm.col_lo - x, x - cm.col_hi, cm.row_lo - rows,
+                rows - cm.row_hi)
+        return max(0.0, *(float(np.max(g, initial=0.0)) for g in gaps))
 
 
 @dataclass
 class MilpSolution:
+    """A solve's outcome. ``x`` is the point, one value per variable id,
+    or None when the solve found none; a layout's id arrays index it
+    directly. ``constraint_duals``, one per row in model order, come from
+    ``solve_lp`` only."""
+
     status: str
     objective: float
-    values: Dict[int, float] = field(default_factory=dict)
+    x: Optional[np.ndarray] = None
     relative_gap: float = 0.0
     nodes_explored: int = 0
     wall_time: float = 0.0
-    # Duals of the constraint rows and the values as an array by
-    # variable id, populated by solve_lp only.
     constraint_duals: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
 
 
 # The options linprog(method="highs") gave HiGHS; a retry changes some
@@ -388,9 +402,8 @@ def solve_lp(m: LinearModel,
                             wall_time=wall)
     duals = np.empty(m.num_constrs)
     duals[cm.row_order] = row_duals
-    return MilpSolution(OPTIMAL, float(cm.cost @ x), dict(enumerate(x.tolist())),
-                        relative_gap=0.0, wall_time=wall,
-                        constraint_duals=duals, x=x)
+    return MilpSolution(OPTIMAL, float(cm.cost @ x), x, wall_time=wall,
+                        constraint_duals=duals)
 
 
 @dataclass
@@ -474,7 +487,7 @@ _POLISH_ROUNDS = 40
 
 
 def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
-    binaries = m.binary_ids
+    binaries = m._compiled_form().binary
     base_rows = m.num_constrs
     best: Optional[MilpSolution] = None   # best exactly-polished candidate
     bound = math.inf   # least bound any round proved, times ``sign``
@@ -491,7 +504,7 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
             else:
                 sol = solver(m, round_cfg)
             nodes += sol.nodes_explored
-            if sol.values:
+            if sol.x is not None:
                 bound = min(bound, sign * sol.objective + sol.relative_gap
                             * max(1.0, abs(sol.objective)))
             if sol.status not in (OPTIMAL, GAP_LIMIT):
@@ -508,19 +521,19 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
                 sol.nodes_explored = nodes
                 sol.wall_time = time.perf_counter() - t0
                 return sol
-            assignment = tuple(int(round(sol.values[v])) for v in binaries)
+            bits = np.where(sol.x[binaries] > 0.5, 1.0, 0.0)
+            assignment = tuple(bits.astype(int).tolist())
             if assignment in seen:
                 raise RuntimeError("solver returned an excluded assignment")
             seen.add(assignment)
-            fixed = {v: (float(b), float(b))
-                     for v, b in zip(binaries, assignment)}
+            fixed = {v: (b, b)
+                     for v, b in zip(binaries.tolist(), bits.tolist())}
             lp = solve_lp(m, bound_overrides=fixed)
             polished = None
             if lp.status == OPTIMAL:
-                values = dict(lp.values)
-                for v, b in zip(binaries, assignment):
-                    values[v] = float(b)
-                polished = MilpSolution(sol.status, lp.objective, values,
+                x = lp.x.copy()
+                x[binaries] = bits
+                polished = MilpSolution(sol.status, lp.objective, x,
                                         relative_gap=sol.relative_gap,
                                         nodes_explored=nodes)
                 if best is None or sign * polished.objective > sign * best.objective:
@@ -535,7 +548,7 @@ def _solve_polished(m: LinearModel, cfg: MilpConfig, solver) -> MilpSolution:
                 break
             # Inflated or spuriously feasible assignment: exclude it.
             coeffs = {v: (-1.0 if b else 1.0)
-                      for v, b in zip(binaries, assignment)}
+                      for v, b in zip(binaries.tolist(), assignment)}
             m.add_constr(coeffs, GE, 1.0 - sum(assignment), name="nogood")
         else:
             raise RuntimeError("incumbent polishing did not settle within "
@@ -612,7 +625,7 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         return root
     highs = cm.highs    # made or kept by the root solve
 
-    incumbent: Optional[Dict[int, float]] = None
+    incumbent: Optional[np.ndarray] = None
     incumbent_obj = -math.inf
     nodes = 0
     counter = 0
@@ -665,7 +678,7 @@ def _solve_milp_bnb(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         vid = _most_fractional(sol.x, binaries)
         if vid is None:
             if node_obj > incumbent_obj:
-                incumbent, incumbent_obj = sol.values, node_obj
+                incumbent, incumbent_obj = sol.x, node_obj
             continue
         basis = highs.getBasis()
         if not basis.valid:   # an IPM retry may leave no basis
@@ -783,8 +796,8 @@ def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     if status == OPTIMAL and gap > cfg.gap_tol * (1 + 1e-9):
         status = GAP_LIMIT
     x = np.array(h.getSolution().col_value)
-    return MilpSolution(status, float(cm.cost @ x), dict(enumerate(x.tolist())),
-                        relative_gap=gap, nodes_explored=nodes, wall_time=wall)
+    return MilpSolution(status, float(cm.cost @ x), x, relative_gap=gap,
+                        nodes_explored=nodes, wall_time=wall)
 
 
 # -- MPS bridge -------------------------------------------------------
@@ -873,11 +886,13 @@ def import_solution(m: LinearModel, text: str) -> MilpSolution:
     """Read a ``name value`` per-line solution file for ``m``.
 
     The objective is recomputed from the model; feasibility is verified
-    rather than trusted.
+    rather than trusted. A line naming an unknown or already given
+    variable, or holding a value that is not a finite number, raises
+    ValueError naming that line.
     """
     var_names, _ = mps_names(m)
     lookup = {name: vid for vid, name in enumerate(var_names)}
-    values: Dict[int, float] = {}
+    x = np.full(m.num_vars, math.nan)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -886,15 +901,25 @@ def import_solution(m: LinearModel, text: str) -> MilpSolution:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'name value', got {raw!r}")
         name, val = parts
-        if name not in lookup:
+        vid = lookup.get(name)
+        if vid is None:
             raise ValueError(f"line {lineno}: unknown variable {name!r}")
-        values[lookup[name]] = float(val)
-    missing = [var_names[i] for i in range(m.num_vars) if i not in values]
+        if not math.isnan(x[vid]):
+            raise ValueError(f"line {lineno}: variable {name!r} given twice")
+        try:
+            value = float(val)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: value of {name!r} is not a "
+                             f"finite number: {val!r}")
+        x[vid] = value
+    missing = [var_names[vid] for vid in np.flatnonzero(np.isnan(x))]
     if missing:
         raise ValueError(f"solution file missing variables: {missing[:5]}")
-    violation = m.max_violation(values)
-    frac = max((abs(values[vid] - round(values[vid])) for vid in m.binary_ids),
-               default=0.0)
-    feasible = violation <= 1e-6 and frac <= TOL.binary_integrality
-    status = OPTIMAL if feasible else INFEASIBLE
-    return MilpSolution(status, m.objective_value(values), values)
+    cm = m._compiled_form()
+    xb = x[cm.binary]
+    frac = float(np.max(np.abs(xb - np.round(xb)), initial=0.0))
+    feasible = m.max_violation(x) <= 1e-6 and frac <= TOL.binary_integrality
+    return MilpSolution(OPTIMAL if feasible else INFEASIBLE,
+                        float(cm.cost @ x), x)

@@ -40,12 +40,12 @@ def build_p2(inst: Instance, m_lin: float = M_LIN,
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; it sizes
     only the ``r * mu2`` and ``t * Gamma`` product rows of
     ``build_base``."""
-    m, lay = build_base(inst, m_lin, "p2", flat=flat,
-                        fix_price_level=fix_price_level)
+    m, lay, ids = build_base(inst, m_lin, "p2", flat=flat,
+                             fix_price_level=fix_price_level)
     for k in range(inst.num_services):
         # Dual feasibility; p(1+mu2) expanded over the one-hot selection.
-        add_dual_rows(m, inst, lay, k, LE)
-        add_revenue_hull(m, inst, lay, k)
+        add_dual_rows(m, inst, ids, k, LE)
+        add_revenue_hull(m, inst, lay, ids, k)
     return m, lay
 
 

@@ -75,8 +75,8 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
     settles.
     """
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
-    m, lay = build_base(inst, m_lin, "p1", flat=flat,
-                        fix_price_level=fix_price_level)
+    m, lay, ids = build_base(inst, m_lin, "p1", flat=flat,
+                             fix_price_level=fix_price_level)
     mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
     mu2_zero, eta_zero = zero_multipliers(inst)
     delay_max = float(inst.delay_cap.max(initial=0.0))
@@ -88,40 +88,40 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
 
     for k in range(K):
         # Stationarity: the follower's dual rows as equalities.
-        add_dual_rows(m, inst, lay, k, EQ)
-        add_revenue_hull(m, inst, lay, k)
+        add_dual_rows(m, inst, ids, k, EQ)
+        add_revenue_hull(m, inst, lay, ids, k)
 
         # Complementarity, one pair per <= row of the follower and per
         # allocation column. The budget row's slack reads the revenue
         # variable, which ``revsum`` pins to the true edge spend.
         for i in range(M):
             _add_pair(m, lay, "cc1", f"{i}_{k}", rows[f"dcap_{i}_{k}"],
-                      delay_max, lay.tau[i, k], tau_max)
+                      delay_max, ids.tau[k][i], tau_max)
         _add_pair(m, lay, "cc2", str(k), rows[f"cov0_{k}"],
-                  service_demand, lay.mu1[k], unit_max)
+                  service_demand, ids.mu1[k], unit_max)
         for j in range(N):
             _add_pair(m, lay, "cc3", f"{j}_{k}", rows[f"cov_{j}_{k}"],
-                      capacity, lay.lam[j, k], unit_max)
+                      capacity, ids.lam[k][j], unit_max)
         for j in range(N):
             _add_pair(m, lay, "cc4", f"{j}_{k}", rows[f"cap_{j}_{k}"],
-                      capacity, lay.gamma[j, k], unit_max)
+                      capacity, ids.gamma[k][j], unit_max)
         for i in range(M):
             for j in range(N):
                 _add_pair(m, lay, "cc5", f"{i}_{j}_{k}",
                           rows[f"elig_{i}_{j}_{k}"], ap_demand,
-                          lay.eta[i, j, k],
+                          ids.eta[k][i][j],
                           0.0 if eta_zero[i, j, k] else unit_max)
         _add_pair(m, lay, "cc6", str(k), rows[f"budget_{k}"], budget,
-                  lay.mu2[k], 0.0 if mu2_zero[k] else mu2_max)
+                  ids.mu2[k], 0.0 if mu2_zero[k] else mu2_max)
         for i in range(M):
             _add_pair(m, lay, "cc7", f"{i}_{k}",
-                      ({lay.x_cloud[i, k]: -1.0}, 0.0),
-                      ap_demand, lay.zeta[i, k], unit_max)
+                      ({ids.x_cloud[k][i]: -1.0}, 0.0),
+                      ap_demand, ids.zeta[k][i], unit_max)
         for i in range(M):
             for j in range(N):
                 _add_pair(m, lay, "cc8", f"{i}_{j}_{k}",
-                          ({lay.x_edge[i, j, k]: -1.0}, 0.0),
-                          ap_demand, lay.eps[i, j, k], unit_max)
+                          ({ids.x_edge[k][i][j]: -1.0}, 0.0),
+                          ap_demand, ids.eps[k][i][j], unit_max)
     return m, lay
 
 

@@ -203,12 +203,29 @@ def test_cli_mps_export_and_import(tmp_path, capsys):
     var_names, _ = mps_names(model)
     sol_file = tmp_path / "model.sol"
     sol_file.write_text("\n".join(f"{var_names[vid]} {val!r}"
-                                  for vid, val in sol.values.items()))
+                                  for vid, val in enumerate(sol.x.tolist())))
     rc = main(["solve", "--instance", str(path), "--method", "dual",
                "--import-solution", str(sol_file)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "imported solution" in out
+
+
+def test_cli_import_rejects_a_value_that_is_not_finite(tmp_path, capsys):
+    """A ``nan`` in a solution file exits 4 naming its line, instead of
+    reporting an optimal objective of nan."""
+    path = _gen(tmp_path)
+    from edgemarket.lp_core import mps_names
+    from edgemarket.model import Instance
+    from edgemarket.reform_dual import build_p2
+    var_names, _ = mps_names(build_p2(Instance.from_json(path.read_text()))[0])
+    sol_file = tmp_path / "model.sol"
+    sol_file.write_text("\n".join(f"{name} {'nan' if i == 0 else 0.0}"
+                                  for i, name in enumerate(var_names)))
+    rc = main(["solve", "--instance", str(path), "--method", "dual",
+               "--import-solution", str(sol_file)])
+    assert rc == 4
+    assert "line 1:" in capsys.readouterr().err
 
 
 def test_cli_external_solver_requires_mps_out(tmp_path, capsys):

@@ -265,7 +265,7 @@ def test_solve_milp_minimization_sense():
     assert sol.status == OPTIMAL
     # b=0, c=1.5 -> 0.6 beats b=1, c=0.5 -> 1.2
     assert sol.objective == pytest.approx(0.6, abs=1e-8)
-    assert sol.values[b] == pytest.approx(0.0, abs=1e-9)
+    assert sol.x[b] == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("backend", ["bnb", "highs"])
@@ -291,7 +291,7 @@ def test_backends_label_unbounded_and_infeasible(backend):
     assert solve_lp(m).status == OPTIMAL
     sol = solve_milp(m, cfg)
     assert sol.status == INFEASIBLE
-    assert not sol.values
+    assert sol.x is None
 
 
 def test_highs_rejected_option_raises(monkeypatch):
@@ -342,7 +342,7 @@ def test_unresolved_node_lp_keeps_its_subtree(monkeypatch):
     best = solve_milp(m, MilpConfig(backend="bnb"))
     assert best.objective == pytest.approx(optimum, abs=1e-6)
     binaries = m.binary_ids
-    target = {v: float(round(best.values[v])) for v in binaries}
+    target = {v: float(round(best.x[v])) for v in binaries}
     real, failed = lp_core.solve_lp, []
 
     def flaky(model, bound_overrides=None):
@@ -386,7 +386,7 @@ def test_mps_round_trip_through_import():
     assert sol.status == OPTIMAL
     var_names, _ = mps_names(m)
     text = "\n".join(f"{var_names[vid]} {val!r}"
-                     for vid, val in sol.values.items())
+                     for vid, val in enumerate(sol.x.tolist()))
     imported = import_solution(m, text)
     assert imported.status == OPTIMAL
     assert imported.objective == pytest.approx(sol.objective, abs=1e-9)
@@ -404,6 +404,48 @@ def test_import_solution_flags_infeasible_point():
         import_solution(m, "nope 1.0")
     with pytest.raises(ValueError, match="missing"):
         import_solution(m, "")
+
+
+def test_import_solution_flags_each_kind_of_violation():
+    """A ``>=`` row, an ``=`` row, a column bound and a binary's
+    integrality are each checked, not only ``<=`` rows."""
+    m = LinearModel(sense="max")
+    a, b = m.add_var("a", ub=1.0), m.add_var("b", binary=True)
+    c = m.add_var("c")
+    m.add_constr({a: 1.0, c: 1.0}, GE, 1.0)
+    m.add_constr({a: 1.0, c: -1.0}, EQ, 0.0)
+    m.set_objective({a: 1.0, b: 1.0})
+    names, _ = mps_names(m)
+
+    def load(va, vb, vc):
+        return import_solution(
+            m, f"{names[a]} {va}\n{names[b]} {vb}\n{names[c]} {vc}")
+
+    good = load(0.5, 1, 0.5)
+    assert good.status == OPTIMAL
+    assert good.objective == pytest.approx(1.5)
+    assert load(0.4, 1, 0.4).status == INFEASIBLE    # a + c >= 1
+    assert load(0.5, 1, 0.6).status == INFEASIBLE    # a = c
+    assert load(1.5, 1, 1.5).status == INFEASIBLE    # a <= 1
+    assert load(0.5, 0.5, 0.5).status == INFEASIBLE  # b binary
+
+
+@pytest.mark.parametrize("lines, bad", [
+    (["a nan", "b 1"], 1),          # a continuous value that is not finite
+    (["a 0.5", "b nan"], 2),        # a binary value that is not finite
+    (["a inf", "b 1"], 1),
+    (["a 0.5", "b 1", "a 0.7"], 3),  # a name given twice
+    (["a half", "b 1"], 1),
+])
+def test_import_solution_rejects_bad_lines(lines, bad):
+    m = LinearModel(sense="max")
+    ids = {"a": m.add_var("a", ub=1.0), "b": m.add_var("b", binary=True)}
+    m.set_objective({ids["a"]: 1.0, ids["b"]: 1.0})
+    names, _ = mps_names(m)
+    text = "\n".join(f"{names[ids[name]]} {value}"
+                     for name, value in (line.split() for line in lines))
+    with pytest.raises(ValueError, match=f"^line {bad}: "):
+        import_solution(m, text)
 
 
 def test_export_mps_structure():
@@ -524,7 +566,7 @@ def test_time_limit_bounds_every_polish_round_together():
         time.sleep(min(cfg.time_limit, round_s))
         bits = next(assignments)
         return MilpSolution(OPTIMAL, sum(bits) + 1.0,
-                            {v: float(b) for v, b in zip(binaries, bits)})
+                            np.array(bits, float))
 
     t0 = time.perf_counter()
     sol = lp_core._solve_polished(m, MilpConfig(time_limit=limit), stub)
@@ -542,14 +584,33 @@ def test_time_limit_after_a_cut_keeps_the_polished_candidate():
     m = LinearModel(sense="max")
     binaries = [m.add_var(f"b{i}", binary=True) for i in range(3)]
     m.set_objective({v: 1.0 for v in binaries})
-    rounds = iter([MilpSolution(OPTIMAL, 4.0, {v: 1.0 for v in binaries}),
+    rounds = iter([MilpSolution(OPTIMAL, 4.0, np.ones(len(binaries))),
                    MilpSolution(TIME_LIMIT, math.nan)])
     sol = lp_core._solve_polished(m, MilpConfig(), lambda *_: next(rounds))
     assert sol.status == TIME_LIMIT
     assert sol.objective == pytest.approx(3.0)
-    assert [sol.values[v] for v in binaries] == [1.0, 1.0, 1.0]
+    assert [sol.x[v] for v in binaries] == [1.0, 1.0, 1.0]
     assert sol.relative_gap == pytest.approx(1.0 / 3.0)
     assert m.num_constrs == 0
+
+
+def test_add_vars_names_ids_and_bounds():
+    """A block's ids follow the model's, in row-major order, shaped like
+    the block; bounds are numbers or arrays of the block's shape."""
+    m = LinearModel()
+    a = m.add_var("a")
+    z = m.add_vars("z", (), "_1", lb=-math.inf)
+    x = m.add_vars("x", (2, 3), "_1", ub=np.arange(6.0).reshape(2, 3))
+    b = m.add_vars("b", (2,), binary=True)
+    assert (a, z.shape, x.shape, b.shape) == (0, (), (2, 3), (2,))
+    assert [int(z)] + x.ravel().tolist() + b.tolist() == list(range(1, 10))
+    assert [v.name for v in m.variables[1:]] == [
+        "z_1", "x_0_0_1", "x_0_1_1", "x_0_2_1", "x_1_0_1", "x_1_1_1",
+        "x_1_2_1", "b_0", "b_1"]
+    assert m.variables[int(z)].lb == -math.inf
+    assert [m.variables[v].ub for v in x.ravel()] == [0, 1, 2, 3, 4, 5]
+    assert [(m.variables[v].lb, m.variables[v].ub, m.variables[v].binary)
+            for v in b] == [(0.0, 1.0, True)] * 2
 
 
 def test_validate_rejects_dangling_ids():

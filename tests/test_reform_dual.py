@@ -2,6 +2,7 @@
 revenue integrity and bilevel certification."""
 
 import ctypes
+import dataclasses
 import logging
 import time
 
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from edgemarket import lp_core, reform_dual, reform_kkt
-from edgemarket._milp_base import MAX_ESCALATIONS, M_LIN, multiplier_bounds
-from edgemarket.lp_core import LE, MilpConfig, solve_lp
+from edgemarket._milp_base import (MAX_ESCALATIONS, M_LIN, IntegrityError,
+                                   extract_solution, multiplier_bounds)
+from edgemarket.lp_core import LE, MilpConfig, MilpSolution, solve_lp
 from edgemarket.model import leader_profit
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import (build_p2, solve_p2,
@@ -87,12 +89,12 @@ def _add_mccormick_rows(m, inst, lay):
     ``y - h <= C (1 - r)``, ``pi <= mu2`` and
     ``mu2 - pi <= mu2_max (1 - r)``."""
     mu2_max = multiplier_bounds(inst, M_LIN)[0]
-    for (j, v, k), p in lay.pi.items():
+    for (j, v, k), p in np.ndenumerate(lay.pi):
         r, mu2 = lay.r[j, v], lay.mu2[k]
         m.add_constr({p: 1.0, mu2: -1.0}, LE, 0.0, name=f"piub2_{j}_{v}_{k}")
         m.add_constr({mu2: 1.0, p: -1.0, r: mu2_max}, LE, mu2_max,
                      name=f"pilb_{j}_{v}_{k}")
-    for (j, v, k), h in lay.h.items():
+    for (j, v, k), h in np.ndenumerate(lay.h):
         r, y, cap = lay.r[j, v], lay.y_edge[j, k], inst.compute_cap[j]
         m.add_constr({h: 1.0, y: -1.0}, LE, 0.0, name=f"hub2_{j}_{v}_{k}")
         m.add_constr({y: 1.0, h: -1.0, r: cap}, LE, cap,
@@ -135,7 +137,7 @@ def test_revenue_variable_equals_price_times_procurement(solve, build):
     model, lay = build(inst)
     for k in range(inst.num_services):
         direct = float(res.leader.price @ res.followers[k].y_edge)
-        assert res.milp.values[lay.rev[k]] == pytest.approx(direct, abs=1e-6)
+        assert res.milp.x[lay.rev[k]] == pytest.approx(direct, abs=1e-6)
 
 
 def test_bilevel_certification_passes():
@@ -252,3 +254,54 @@ def test_escalation_gives_up_after_max(monkeypatch, module, solve, build):
             rf"{MAX_ESCALATIONS} escalations: \['forced'\]$")):
         solve(tiny_instance(0), CFG)
     assert len(builds) == MAX_ESCALATIONS + 1
+
+
+# The name prefix of each layout symbol that is not named after it.
+_PREFIX = {"x_cloud": "x0", "x_edge": "x", "y_cloud": "y0", "y_edge": "y",
+           "avg_delay": "da"}
+
+
+@pytest.mark.parametrize("build", [build_p1, build_p2])
+@pytest.mark.parametrize("inst", [
+    tiny_instance(0),
+    sample_instance(ScenarioConfig(seed=0, num_aps=6, num_ens=3,
+                                   num_services=4))], ids=["tiny0", "desk0"])
+def test_layout_ids_name_their_own_symbol_and_index(build, inst):
+    model, lay = build(inst)
+    seen = set()
+    for f in dataclasses.fields(lay):
+        if f.name == "pairs":
+            continue
+        for index, vid in np.ndenumerate(getattr(lay, f.name)):
+            assert 0 <= vid < model.num_vars
+            assert model.variables[vid].name == "_".join(
+                [_PREFIX.get(f.name, f.name), *map(str, index)])
+            seen.add(vid)
+    # Every column but P1's switches is a layout symbol, named once.
+    assert len(seen) == model.num_vars - len(lay.pairs)
+
+
+@pytest.mark.parametrize("solve, build", [(solve_p1, build_p1),
+                                           (solve_p2, build_p2)],
+                         ids=["p1", "p2"])
+def test_extract_rejects_a_broken_point(solve, build):
+    """A fractional binary, two price levels on one EN and a revenue
+    column off price times procurement each raise IntegrityError."""
+    inst = tiny_instance(0)
+    res = solve(inst, CFG)
+    _, lay = build(inst)
+
+    def extract(*edits):
+        x = res.milp.x.copy()
+        for vid, value in edits:
+            x[vid] = value
+        return extract_solution(
+            inst, lay, MilpSolution(res.milp.status, res.milp.objective, x))
+
+    extract()
+    with pytest.raises(IntegrityError, match=r"binary t\[0,0\] not integral"):
+        extract((lay.t[0, 0], 0.5))
+    with pytest.raises(IntegrityError, match="EN 0 selects 2 price levels"):
+        extract((lay.r[0, 0], 1.0), (lay.r[0, 1], 1.0), (lay.r[0, 2], 0.0))
+    with pytest.raises(IntegrityError, match="revenue variable for service 0"):
+        extract((lay.rev[0], res.milp.x[lay.rev[0]] + 1.0))
