@@ -173,7 +173,10 @@ def build_base(inst: Instance, m_lin: float, name: str,
     of ints with the service index first: ``ids.x_edge[k][i][j]``,
     ``ids.t[k][j]``, and ``ids.r[j][v]``. The row writers read these,
     since each read of an array element is a numpy call and a build
-    reads thousands.
+    reads thousands. ``ids`` also carries the constants the build used,
+    so that a build computes each once: ``ids.bounds``, the
+    ``multiplier_bounds`` at ``m_lin``, and the ``zero_multipliers``
+    masks ``ids.mu2_zero`` and ``ids.eta_zero``.
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
     products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
@@ -192,7 +195,8 @@ def build_base(inst: Instance, m_lin: float, name: str,
     the pricing-scheme harness, not by the plain builders.
     """
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
-    mu2_max, gamma_max, _ = multiplier_bounds(inst, m_lin)
+    bounds = multiplier_bounds(inst, m_lin)
+    mu2_max, gamma_max, _ = bounds
     mu2_zero, eta_zero = zero_multipliers(inst)
     m = LinearModel(name=name, sense="max")
     z = m.add_vars("z", (N,), binary=True)
@@ -214,8 +218,9 @@ def build_base(inst: Instance, m_lin: float, name: str,
     lay = MilpLayout(r=r, z=z, t=t, h=np.full((N, V, K), -1), **{
         sym: np.empty(shape + (K,), np.int64)
         for sym, _, shape, _ in service_columns})
-    ids = SimpleNamespace(r=r.tolist(), z=z.tolist(), t=t.T.tolist(), **{
-        sym: [] for sym, *_ in service_columns})
+    ids = SimpleNamespace(r=r.tolist(), z=z.tolist(), t=t.T.tolist(),
+                          bounds=bounds, mu2_zero=mu2_zero, eta_zero=eta_zero,
+                          **{sym: [] for sym, *_ in service_columns})
     eta_ub = np.where(eta_zero, 0.0, math.inf)
     for k in range(K):
         ub = {"mu2": 0.0 if mu2_zero[k] else math.inf, "eta": eta_ub[:, :, k]}
@@ -461,9 +466,10 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     P2's products too, are checked for both; the multipliers of P1's
     complementarity pairs only when ``lay.pairs`` is not empty.
 
-    A multiplier that ``zero_multipliers`` proves 0 is skipped: the
-    builders bound it by that proven 0, which cuts nothing off and which
-    no escalation changes, not by the heuristic bound. Multipliers of
+    A multiplier that ``zero_multipliers`` proves 0 is never flagged: the
+    builders bound its column by that proven 0, which cuts nothing off
+    and which no escalation changes, so its value is 0 and never near
+    a heuristic bound. Multipliers of
     vacuous rows (capacity of an unplaced EN, eligibility of a barred
     pair, rows with zero demand) are costless degenerate rays that the
     solver may legitimately park at the bound; those are skipped too,
@@ -472,10 +478,9 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     Flags come family by family, each in index order.
     """
     mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
-    mu2_zero, _ = zero_multipliers(inst)
     x = sol.x
     placed = x[lay.t] > 0.5
-    checks = [(lay.mu2, ~mu2_zero, mu2_max, "mu2"),
+    checks = [(lay.mu2, True, mu2_max, "mu2"),
               (lay.gamma, placed, unit_max, "Gamma")]
     if lay.pairs:
         demand = inst.demand > 0

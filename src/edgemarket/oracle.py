@@ -4,17 +4,21 @@ Enumerates every discrete leader decision, solves the follower LPs
 exactly, resolves follower degeneracy in the leader's favour, and
 evaluates the profit. Ground truth for both MILP reformulations.
 
-Price vectors are enumerated outermost. Under one price vector each LP
-is built, on its first use, with every EN open: one follower LP per
-service and one second-stage LP. A leader candidate (activation and
-placement) then changes only column bounds, so every LP after the first
-is a hot re-solve of the HiGHS instance its model keeps.
+Each LP is built once per instance, with every EN open and every price
+level present: one follower LP per service and one second-stage LP.
+Each EN's purchase is split into one column per price level,
+``y[j] = sum_v yv[j, v]``, and the spend is
+``sum_v price_grid[j, v] * yv[j, v]``. A price vector fixes the columns
+of the levels it does not pick at 0, and a placement fixes an unplaced
+EN's purchase at 0, so a leader decision reaches HiGHS only as column
+bounds, and every solve after an LP's first is a hot re-solve of the
+HiGHS instance its model keeps.
 
 Exact repeats are solved once per call. A follower's cost depends only
 on its placement row and the prices of the ENs it is placed on, and the
 second stage only on the placement and the prices of the ENs that host
 any service; activation does not enter it. Both are memoized on exactly
-those inputs, across price vectors.
+those inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import lp_core
-from .follower import FollowerColumns, FollowerContext, build_follower_lp
+from .follower import FollowerColumns, add_follower_rows
 # Unused here, but perfbench/spans.py wraps ``oracle.solve_follower``.
 from .follower import solve_follower  # noqa: F401
 from .lp_core import LE, EQ, LinearModel
@@ -59,32 +63,71 @@ def _levels_on(levels: tuple, on) -> tuple:
     return tuple(lvl if o else -1 for lvl, o in zip(levels, on))
 
 
+def _unpicked(yv: np.ndarray, levels: tuple) -> Dict[int, Tuple[float, float]]:
+    """Bounds fixing at 0 the per-level columns ``yv[j, v, ...]`` of every
+    level ``v`` that is not EN j's pick in ``levels``."""
+    unpicked = np.arange(yv.shape[1]) != np.array(levels)[:, None]
+    return dict.fromkeys(yv[unpicked].ravel().tolist(), (0.0, 0.0))
+
+
 class _FollowerCosts:
-    """Optimal follower costs under one price vector. Each service's LP
-    is built on its first use with every EN placed; an unplaced EN is
-    closed by fixing the service's purchase from it to 0, which is the
-    LP with that EN's capacity row at right-hand side 0. So the cost sees
-    only the prices of the placed ENs, and ``cache``, shared across
-    price vectors, is keyed on those levels."""
+    """Optimal follower costs, from one LP per service built on its first
+    use: the follower LP of ``follower.add_follower_rows`` with every EN
+    placed, whose purchase ``y[j]`` is split over the per-level columns
+    ``yv[j, v]`` (rows ``split_j``) and whose spend is the revenue column
+    (row ``revenue``). A price vector fixes the unpicked levels' columns
+    at 0, and an unplaced EN is closed by fixing the service's purchase
+    from it at 0, which is the LP with that EN's capacity row at
+    right-hand side 0. So the cost sees only the prices of the placed
+    ENs, and ``cache`` is keyed on those levels."""
 
-    def __init__(self, inst: Instance, levels: tuple, prices: np.ndarray,
-                 cache: Dict[tuple, Optional[float]]):
-        self.inst, self.levels, self.prices = inst, levels, prices
-        self.lps: Dict[int, LinearModel] = {}
-        self.y_edge = FollowerColumns.follower_lp(inst.num_aps, inst.num_ens).y
-        self.cache = cache
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.lps: Dict[int, Tuple[LinearModel, np.ndarray, np.ndarray]] = {}
+        self.cache: Dict[tuple, Optional[float]] = {}
 
-    def cost(self, k: int, placed_k: tuple) -> Optional[float]:
-        """Service ``k``'s optimal cost, or None when it is infeasible."""
-        key = (k, placed_k, _levels_on(self.levels, placed_k))
+    def _build(self, k: int) -> Tuple[LinearModel, np.ndarray, np.ndarray]:
+        """Service ``k``'s LP, its purchase ids ``y`` (N,) and per-level
+        ids ``yv`` (N, V)."""
+        inst = self.inst
+        M, N, V = inst.num_aps, inst.num_ens, inst.num_price_levels
+        m = LinearModel(name=f"follower{k}", sense="min")
+        x0, x = m.add_vars("x0", (M,)), m.add_vars("x", (M, N))
+        y0, y = m.add_var("y0"), m.add_vars("y", (N,))
+        da = m.add_vars("da", (M,))
+        yv, rev = m.add_vars("yv", (N, V)), m.add_var("rev")
+        cols = FollowerColumns(x0=x0.tolist(), x=x.tolist(), y0=y0,
+                               y=y.tolist(), da=da.tolist(), rev=rev)
+        add_follower_rows(m, inst, k, cols, prices=None,
+                          placed=np.ones(N, dtype=int))
+        for j in range(N):
+            coeffs = dict.fromkeys(yv[j].tolist(), -1.0)
+            coeffs[cols.y[j]] = 1.0
+            m.add_constr(coeffs, EQ, 0.0, name=f"split_{j}")
+        spend = dict(zip(yv.ravel().tolist(), inst.price_grid.ravel().tolist()))
+        m.add_constr({rev: 1.0, **{vid: -p for vid, p in spend.items()}},
+                     EQ, 0.0, name="revenue")
+
+        w = inst.delay_weight[k]
+        obj = {y0: inst.cloud_price, **spend}
+        obj.update(zip(cols.x0, (w * inst.delay_cloud).tolist()))
+        obj.update(zip(x.ravel().tolist(),
+                       (w * inst.delay_edge).ravel().tolist()))
+        m.set_objective(obj)
+        return m, y, yv
+
+    def cost(self, k: int, levels: tuple, placed_k: tuple) -> Optional[float]:
+        """Service ``k``'s optimal cost under the price levels ``levels``,
+        or None when it is infeasible."""
+        key = (k, placed_k, _levels_on(levels, placed_k))
         if key not in self.cache:
             if k not in self.lps:
-                open_all = np.ones(self.inst.num_ens, dtype=int)
-                self.lps[k] = build_follower_lp(
-                    FollowerContext(self.inst, k, self.prices, open_all))
-            closed = {vid: (0.0, 0.0)
-                      for vid, on in zip(self.y_edge, placed_k) if not on}
-            sol = lp_core.solve_lp(self.lps[k], closed)
+                self.lps[k] = self._build(k)
+            lp, y, yv = self.lps[k]
+            bounds = _unpicked(yv, levels)
+            bounds.update({vid: (0.0, 0.0)
+                           for vid, on in zip(y.tolist(), placed_k) if not on})
+            sol = lp_core.solve_lp(lp, bounds)
             self.cache[key] = (sol.objective if sol.status == lp_core.OPTIMAL
                                else None)
         return self.cache[key]
@@ -93,18 +136,22 @@ class _FollowerCosts:
 class _SecondStage:
     """Among follower-optimal responses, the profile that maximizes the
     leader's revenue minus utilization cost, subject to the shared EN
-    capacity, as one LP per price vector.
+    capacity, as one LP per instance. Each purchase ``y[j,k]`` is split
+    over the per-level columns ``yv[j,k,v]`` (rows ``split_j_k``), which
+    carry the prices in the budget and pin rows and in the objective.
 
-    A candidate enters only through column bounds: ``y[j,k]`` is capped
-    at ``compute_cap[j] * placed[j,k]``, and each service's cost column
+    A leader decision enters only through column bounds: the price
+    vector fixes the unpicked levels' columns at 0; ``y[j,k]`` is capped
+    at ``compute_cap[j] * placed[j,k]``; and each service's cost column
     (the pin row reads cost <= that column) at its optimal cost, so
     optimistic resolution may not cost a follower anything. The shared
     capacity row has the constant right-hand side ``compute_cap[j]``,
     which is exact because a service is placed only on an active EN.
     """
 
-    def __init__(self, inst: Instance, prices: np.ndarray):
+    def __init__(self, inst: Instance):
         M, N, K = inst.num_aps, inst.num_ens, inst.num_services
+        V = inst.num_price_levels
         self.inst = inst
         m = self.lp = LinearModel(name="second_stage", sense="max")
         x0 = {(i, k): m.add_var(f"x0_{i}_{k}") for k in range(K) for i in range(M)}
@@ -113,10 +160,18 @@ class _SecondStage:
         y0 = {k: m.add_var(f"y0_{k}") for k in range(K)}
         y = {(j, k): m.add_var(f"y_{j}_{k}", ub=inst.compute_cap[j])
              for k in range(K) for j in range(N)}
+        yv = {(j, k, v): m.add_var(f"yv_{j}_{k}_{v}")
+              for k in range(K) for j in range(N) for v in range(V)}
         cost_col = [m.add_var(f"cost_{k}", lb=-math.inf) for k in range(K)]
 
         for k in range(K):
             w = inst.delay_weight[k]
+            spend = {yv[j, k, v]: inst.price_grid[j, v]
+                     for j in range(N) for v in range(V)}
+            for j in range(N):
+                coeffs = {yv[j, k, v]: -1.0 for v in range(V)}
+                coeffs[y[j, k]] = 1.0
+                m.add_constr(coeffs, EQ, 0.0, name=f"split_{j}_{k}")
             for i in range(M):
                 coeffs = {x0[i, k]: 1.0}
                 for j in range(N):
@@ -134,10 +189,8 @@ class _SecondStage:
                     m.add_constr({x[i, j, k]: 1.0}, LE,
                                  inst.eligible[i, j, k] * inst.demand[i, k],
                                  name=f"elig_{i}_{j}_{k}")
-            budget = {y0[k]: inst.cloud_price}
-            for j in range(N):
-                budget[y[j, k]] = prices[j]
-            m.add_constr(budget, LE, inst.budget[k], name=f"budget_{k}")
+            m.add_constr({y0[k]: inst.cloud_price, **spend}, LE,
+                         inst.budget[k], name=f"budget_{k}")
             for i in range(M):
                 if inst.demand[i, k] <= 0:
                     continue
@@ -147,9 +200,7 @@ class _SecondStage:
                 m.add_constr(coeffs, LE,
                              inst.delay_cap[k] * inst.demand[i, k],
                              name=f"dcap_{i}_{k}")
-            cost = {y0[k]: inst.cloud_price, cost_col[k]: -1.0}
-            for j in range(N):
-                cost[y[j, k]] = prices[j]
+            cost = {y0[k]: inst.cloud_price, **spend, cost_col[k]: -1.0}
             for i in range(M):
                 cost[x0[i, k]] = w * inst.delay_cloud[i]
                 for j in range(N):
@@ -159,10 +210,8 @@ class _SecondStage:
             coeffs = {y[j, k]: 1.0 for k in range(K)}
             m.add_constr(coeffs, LE, inst.compute_cap[j], name=f"encap_{j}")
 
-        obj: Dict[int, float] = {}
+        obj = {vid: inst.price_grid[j, v] for (j, k, v), vid in yv.items()}
         for k in range(K):
-            for j in range(N):
-                obj[y[j, k]] = prices[j]
             for i in range(M):
                 for j in range(N):
                     obj[x[i, j, k]] = obj.get(x[i, j, k], 0.0) \
@@ -173,15 +222,18 @@ class _SecondStage:
                            for i in range(M)])
         self.y0 = np.array([y0[k] for k in range(K)])
         self.y = np.array([[y[j, k] for k in range(K)] for j in range(N)])
+        self.yv = np.array([[[yv[j, k, v] for k in range(K)] for v in range(V)]
+                            for j in range(N)])
         self.cost_col = cost_col
 
-    def solve(self, placed: np.ndarray, opt_costs: List[float]
+    def solve(self, levels: tuple, placed: np.ndarray, opt_costs: List[float]
               ) -> Optional[Tuple[float, np.ndarray]]:
-        """(leader's net revenue, LP point) for one placement, or None
-        when no follower-optimal profile fits."""
+        """(leader's net revenue, LP point) for one price vector and
+        placement, or None when no follower-optimal profile fits."""
         cap = self.inst.compute_cap
-        bounds = {int(vid): (0.0, cap[j] * placed[j, k])
-                  for (j, k), vid in np.ndenumerate(self.y)}
+        bounds = _unpicked(self.yv, levels)
+        bounds.update({int(vid): (0.0, cap[j] * placed[j, k])
+                       for (j, k), vid in np.ndenumerate(self.y)})
         bounds.update({vid: (-math.inf, c)
                        for vid, c in zip(self.cost_col, opt_costs)})
         sol = lp_core.solve_lp(self.lp, bounds)
@@ -234,37 +286,40 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
         raise ValueError(f"instance requires {count} candidates, "
                          f"budget is {max_candidates}")
     N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
-    placements = list(_placements(inst))
+    # What every price vector reuses of a placement: each service's
+    # placement row, the ENs hosting any service, and the leader's
+    # activation and placement costs.
+    placements = [(z, t_flat, placed, [tuple(row) for row in placed.T.tolist()],
+                   placed.any(axis=1).tolist(),
+                   float(np.asarray(z, float) @ inst.fixed_cost),
+                   float((inst.placement_cost * placed).sum()))
+                  for z, t_flat, placed in _placements(inst)]
     log: List[dict] = []
     best = None  # (profit, sort_key, LeaderDecision, followers)
     examined = 0
-    costs: Dict[tuple, Optional[float]] = {}
+    follower = _FollowerCosts(inst)
     # Second-stage result by (placement, levels of the hosting ENs).
     responses: Dict[tuple, Optional[Tuple[float, np.ndarray]]] = {}
     stage = None
     for levels in itertools.product(range(V), repeat=N):
         prices = np.array([inst.price_grid[j, levels[j]] for j in range(N)])
-        # At most this price vector's K + 1 models, and the last
-        # second stage built, are alive at a time.
-        follower = _FollowerCosts(inst, levels, prices, costs)
-        stage_here = None
-        for z, t_flat, placed in placements:
+        for z, t_flat, placed, rows, hosts, z_cost, t_cost in placements:
             examined += 1
             entry = {"levels": levels, "z": z, "t": t_flat}
             opt_costs = []
             infeasible = None
             for k in range(K):
-                cost = follower.cost(k, tuple(placed[:, k]))
+                cost = follower.cost(k, levels, rows[k])
                 if cost is None:
                     infeasible = f"follower {k} infeasible"
                     break
                 opt_costs.append(cost)
             if infeasible is None:
-                key = (t_flat, _levels_on(levels, placed.any(axis=1)))
+                key = (t_flat, _levels_on(levels, hosts))
                 if key not in responses:
-                    if stage_here is None:
-                        stage = stage_here = _SecondStage(inst, prices)
-                    responses[key] = stage.solve(placed, opt_costs)
+                    if stage is None:
+                        stage = _SecondStage(inst)
+                    responses[key] = stage.solve(levels, placed, opt_costs)
                 stage2 = responses[key]
                 if stage2 is None:
                     infeasible = "no follower-optimal profile fits capacity"
@@ -274,9 +329,7 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
                     log.append(entry)
                 continue
             net_revenue, x = stage2
-            profit = net_revenue \
-                - float(np.asarray(z, float) @ inst.fixed_cost) \
-                - float((inst.placement_cost * placed).sum())
+            profit = net_revenue - z_cost - t_cost
             entry["profit"] = profit
             if keep_log:
                 log.append(entry)
@@ -287,8 +340,6 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
                                     price=prices,
                                     active=np.array(z),
                                     placed=placed)
-                # Every second-stage model has the same columns, so the
-                # last one built reads the followers off any point.
                 best = (profit, sort_key, ld, stage.followers(x, opt_costs))
     if best is None:
         return OracleResult(None, None, None, examined, log)

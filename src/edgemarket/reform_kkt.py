@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._milp_base import (M_LIN, MilpLayout, ReformResult, add_dual_rows,
                          add_revenue_hull, build_base, extract_solution,
-                         multiplier_bounds, solve_reformulation,
-                         validate_bigM, zero_multipliers)
+                         solve_reformulation, validate_bigM)
 from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
 
@@ -77,8 +76,8 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     m, lay, ids = build_base(inst, m_lin, "p1", flat=flat,
                              fix_price_level=fix_price_level)
-    mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
-    mu2_zero, eta_zero = zero_multipliers(inst)
+    mu2_max, unit_max, tau_max = ids.bounds
+    mu2_zero, eta_zero = ids.mu2_zero, ids.eta_zero
     delay_max = float(inst.delay_cap.max(initial=0.0))
     service_demand = float(inst.demand.sum(axis=0).max(initial=0.0))
     ap_demand = float(inst.demand.max(initial=0.0))

@@ -15,7 +15,7 @@ from edgemarket.reform_dual import solve_p2
 from edgemarket.oracle import (OracleResult, brute_force_bilevel, compare,
                                _candidate_count, _placements, _SecondStage)
 
-from conftest import tiny_instance
+from conftest import tight_budget, tiny_instance
 
 
 def test_candidate_count_and_budget_guard():
@@ -111,8 +111,8 @@ def test_oracle_matches_p2_closely_on_tiny_seeds():
 
 def _cold_log(inst):
     """Every candidate's profit or infeasibility verdict, solved cold:
-    fresh follower LPs with the placement in their capacity rows, and a
-    fresh second-stage model per candidate."""
+    fresh follower LPs with the prices in their rows and the placement in
+    their capacity rows, and a fresh second-stage model per candidate."""
     N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
     out = {}
     for levels in itertools.product(range(V), repeat=N):
@@ -129,7 +129,7 @@ def _cold_log(inst):
                     break
                 costs.append(fs.cost)
             else:
-                stage2 = _SecondStage(inst, prices).solve(placed, costs)
+                stage2 = _SecondStage(inst).solve(levels, placed, costs)
                 out[key] = (
                     "no follower-optimal profile fits capacity"
                     if stage2 is None else
@@ -138,11 +138,18 @@ def _cold_log(inst):
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 4, 7, 13])
-def test_hot_resolves_match_cold_solves(seed):
-    """The oracle re-solves one model per price vector under changed
-    column bounds; each candidate must come out as it does solved cold."""
+@pytest.mark.parametrize(
+    "seed, tight",
+    [pytest.param(s, False, id=str(s)) for s in (0, 4, 7, 13)]
+    + [pytest.param(s, True, id=f"tight{s}") for s in (0, 4, 7, 13)])
+def test_hot_resolves_match_cold_solves(seed, tight):
+    """The oracle re-solves one model per instance under changed column
+    bounds; each candidate must come out as it does solved cold. The
+    generated budgets never bind, so the ``tight_budget`` variants are
+    what test the per-level spend in the budget rows."""
     inst = tiny_instance(seed)
+    if tight:
+        inst = tight_budget(inst)
     res = brute_force_bilevel(inst)
     assert len(res.log) == res.candidates_examined
     hot = {(e["levels"], e["z"], e["t"]): e.get("profit", e.get("infeasible"))
