@@ -27,13 +27,14 @@ This module owns the big-M constants, whose only inputs are the
 instance and the multiplier scale ``m_lin``: ``M_LIN`` is the starting
 scale, ``multiplier_bounds`` turns a scale into heuristic bounds per
 multiplier family, ``zero_multipliers`` proves from the data which
-budget and eligibility multipliers can be bounded by 0 instead,
-``validate_bigM`` checks the returned point against the heuristic
-bounds, and ``solve_reformulation`` raises only ``m_lin`` when one
-binds. A proven bound of 0 is a column upper bound, so HiGHS's presolve
-removes what it kills, while every row is still written. The slack-side
-constants of P1's pairs are exact data bounds, chosen by
-``reform_kkt.build_p1``.
+budget, eligibility and delay-cap multipliers can be bounded by 0
+instead, ``validate_bigM`` checks the returned point against the
+heuristic bounds, and ``solve_reformulation`` raises only ``m_lin`` when
+one binds. A proven bound of 0 on mu2 or eta is a column upper bound in
+both methods; on tau it is the multiplier side of P1's delay-cap pair
+only. Either way HiGHS's presolve removes what it kills, while every
+row is still written. The slack-side constants of P1's pairs are exact
+data bounds, chosen by ``reform_kkt.build_p1``.
 
 The reference code the reformulations are tested against writes its
 rows separately on purpose, so that no fault in these shared writers
@@ -122,7 +123,8 @@ def multiplier_bounds(inst: Instance, m_lin: float,
     decision. ``solve_reformulation`` relies on ``validate_bigM``, which
     sees only the returned point, and raises ``m_lin`` tenfold when it
     flags one. Where ``zero_multipliers`` proves mu2 or eta 0, the
-    builders use 0 in place of these.
+    builders use 0 in place of these, and so does P1's delay-cap pair
+    where it proves tau 0.
     """
     max_delay = max(float(inst.delay_edge.max(initial=0.0)),
                     float(inst.delay_cloud.max(initial=0.0)), 1.0)
@@ -132,11 +134,12 @@ def multiplier_bounds(inst: Instance, m_lin: float,
     return m_lin, unit, unit * float(inst.demand.max(initial=0.0)) / max_delay
 
 
-def zero_multipliers(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
+def zero_multipliers(inst: Instance,
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The follower multipliers proven 0 by the data alone, as masks
-    ``(mu2, eta)`` of shapes (K,) and (M, N, K): at every price and
-    placement the leader can choose, service k's LP has an optimal dual
-    with every masked multiplier at 0 at once.
+    ``(mu2, eta, tau)`` of shapes (K,), (M, N, K) and (M, K): at every
+    price and placement the leader can choose, service k's LP has an
+    optimal dual with every masked multiplier at 0 at once.
 
     - ``mu2[k]``, budget: at a follower optimum each unit of workload is
       bought once (``cov0`` and ``cov`` are tight where the price is
@@ -146,18 +149,31 @@ def zero_multipliers(inst: Instance) -> Tuple[np.ndarray, np.ndarray]:
       and complementary slackness puts mu2 at 0 in every optimal dual.
     - ``eta[i,j,k]``, eligibility of an eligible pair: the row
       ``x_ij <= demand_i`` is implied by ``bal_i`` and ``x >= 0``.
+    - ``tau[i,k]``, delay cap, where every option of AP i meets service
+      k's cap: the cloud and each EN eligible for (i, k). The row
+      ``dcap_i`` is implied by ``bal_i``, ``ddef_i``, the ``elig`` rows of
+      the barred pairs, which stay, and ``x >= 0``: they make AP i's
+      average delay a convex combination of those options' delays. With
+      no demand at AP i, ``da_i`` enters no other row and no cost, so it
+      can be set to 0.
 
-    Drop the implied rows and the slack budget rows: the spend bound
-    holds without them, so the reduced LP's optimum is feasible in the
-    full one and the optimal values agree. The reduced LP's optimal dual,
-    padded with zeros, is then dual feasible for the full LP at the same
-    value, so optimal, with every masked multiplier at 0. The budget must
-    exceed the spend bound by a relative 1e-9, so that rounding in the
-    product cannot turn a tie into a proof.
+    Drop the masked rows together: the implied ones, the slack budget
+    rows and the met delay caps. Take an optimum of the reduced LP, with
+    ``da_i`` at 0 where AP i has no demand. It is feasible in the full
+    LP, since the spend bound and the implications above hold without
+    the dropped rows, so the two optimal values agree. The reduced LP's
+    optimal dual, padded with zeros, is then dual feasible for the full
+    LP at the same value, so optimal, with every masked multiplier at 0.
+    The budget must exceed the spend bound by a relative 1e-9, so that
+    rounding in the product cannot turn a tie into a proof; the delay
+    test compares data values only, so a tie is a proof.
     """
     top = max(inst.cloud_price, float(inst.price_grid.max(initial=0.0)))
     spend = top * inst.demand.sum(axis=0)
-    return spend * (1.0 + 1e-9) < inst.budget, inst.eligible == 1
+    cap = inst.delay_cap[None, None, :]
+    edge_ok = (inst.eligible == 0) | (inst.delay_edge[:, :, None] <= cap)
+    tau = (inst.delay_cloud[:, None] <= cap[0]) & edge_ok.all(axis=1)
+    return spend * (1.0 + 1e-9) < inst.budget, inst.eligible == 1, tau
 
 
 def build_base(inst: Instance, m_lin: float, name: str,
@@ -176,13 +192,15 @@ def build_base(inst: Instance, m_lin: float, name: str,
     reads thousands. ``ids`` also carries the constants the build used,
     so that a build computes each once: ``ids.bounds``, the
     ``multiplier_bounds`` at ``m_lin``, and the ``zero_multipliers``
-    masks ``ids.mu2_zero`` and ``ids.eta_zero``.
+    masks ``ids.mu2_zero``, ``ids.eta_zero`` and ``ids.tau_zero``.
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
     products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
     and per-unit bounds it gives, except where ``zero_multipliers``
     proves mu2 0: there mu2's column and its hull take the bound 0, as
-    do the eta columns it proves. ``t * Gamma`` takes the three McCormick
+    do the eta columns it proves. The tau columns stay unbounded here:
+    only P1's delay-cap pairs take the proven 0, since a column bound
+    of 0 on tau made P2 slower. ``t * Gamma`` takes the three McCormick
     rows. ``r * mu2`` takes the hull over EN j's one-hot price choice
     (Balas' disjunctive hull, or RLT with the ``onehot_j`` row):
     ``pisum``, ``sum_v pi[j,v,k] = mu2[k]``, and ``piub1``,
@@ -197,7 +215,7 @@ def build_base(inst: Instance, m_lin: float, name: str,
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
     bounds = multiplier_bounds(inst, m_lin)
     mu2_max, gamma_max, _ = bounds
-    mu2_zero, eta_zero = zero_multipliers(inst)
+    mu2_zero, eta_zero, tau_zero = zero_multipliers(inst)
     m = LinearModel(name=name, sense="max")
     z = m.add_vars("z", (N,), binary=True)
     t = m.add_vars("t", (N, K), binary=True)
@@ -220,6 +238,7 @@ def build_base(inst: Instance, m_lin: float, name: str,
         for sym, _, shape, _ in service_columns})
     ids = SimpleNamespace(r=r.tolist(), z=z.tolist(), t=t.T.tolist(),
                           bounds=bounds, mu2_zero=mu2_zero, eta_zero=eta_zero,
+                          tau_zero=tau_zero,
                           **{sym: [] for sym, *_ in service_columns})
     eta_ub = np.where(eta_zero, 0.0, math.inf)
     for k in range(K):
@@ -466,10 +485,13 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     P2's products too, are checked for both; the multipliers of P1's
     complementarity pairs only when ``lay.pairs`` is not empty.
 
-    A multiplier that ``zero_multipliers`` proves 0 is never flagged: the
-    builders bound its column by that proven 0, which cuts nothing off
-    and which no escalation changes, so its value is 0 and never near
-    a heuristic bound. Multipliers of
+    A multiplier that ``zero_multipliers`` proves 0 is never flagged.
+    The builders bound it by that proven 0, which cuts nothing off and
+    which no escalation changes: mu2 and eta through their columns, so
+    their values are 0 and never near a heuristic bound, and tau
+    through the multiplier side of P1's delay-cap pair, a row, so a
+    proven tau is skipped by its mask rather than trusted to read exactly
+    0 at every scale. Multipliers of
     vacuous rows (capacity of an unplaced EN, eligibility of a barred
     pair, rows with zero demand) are costless degenerate rays that the
     solver may legitimately park at the bound; those are skipped too,
@@ -484,7 +506,8 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
               (lay.gamma, placed, unit_max, "Gamma")]
     if lay.pairs:
         demand = inst.demand > 0
-        checks += [(lay.tau, demand, tau_max, "tau"),
+        tau_free = ~zero_multipliers(inst)[2]
+        checks += [(lay.tau, demand & tau_free, tau_max, "tau"),
                    (lay.zeta, demand, unit_max, "zeta"),
                    (lay.mu1, True, unit_max, "mu1"),
                    (lay.lam, placed, unit_max, "lambda"),

@@ -351,10 +351,9 @@ def _run(h: _highs._Highs, cm: _Compiled, lo: np.ndarray, hi: np.ndarray):
         return None
     sol = h.getSolution()
     x, rows = np.array(sol.col_value), np.array(sol.row_value)
-    tol = _RESIDUAL_TOL
-    if (np.all(x >= lo - tol) and np.all(x <= hi + tol)
-            and np.all(rows >= cm.row_lo - tol)
-            and np.all(rows <= cm.row_hi + tol)):
+    worst = np.concatenate((lo - x, x - hi, cm.row_lo - rows,
+                            rows - cm.row_hi)).max(initial=-math.inf)
+    if worst <= _RESIDUAL_TOL:
         return OPTIMAL, x, sol.row_dual
     return None
 

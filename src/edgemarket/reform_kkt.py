@@ -6,7 +6,12 @@ pair per ``<=`` row of the follower and per allocation column, each
 linearized by ``_add_pair`` with one binary switch and two big-M rows
 (Fortuny-Amat & McCarl 1981). A pair's slack side is read from the
 primal row ``follower.add_follower_rows`` wrote, so each primal row is
-written once. The bilinear price-times-budget-multiplier and
+written once. Where the data prove a side 0 at every follower optimum,
+its constant is 0: the slack of a coverage row whose price is positive,
+and the multipliers ``_milp_base.zero_multipliers`` proves 0 (budget,
+eligibility, and the delay cap where every option of the AP meets it).
+The pair and its switch are still written, and HiGHS's presolve
+removes what the 0 settles. The bilinear price-times-budget-multiplier and
 placement-times-capacity-multiplier products are expanded over the
 one-hot price selection.
 
@@ -25,6 +30,8 @@ references.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ._milp_base import (M_LIN, MilpLayout, ReformResult, add_dual_rows,
                          add_revenue_hull, build_base, extract_solution,
@@ -59,29 +66,44 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
     Each pair's slack side is a primal row of ``build_base``, looked up
     by name, or an allocation column; its slack-side constant is an
     exact data bound, so none can cut off a follower-optimal point: the
-    delay-cap slack is at most the delay cap; a cloud-coverage slack is
-    zero at any follower optimum (the cloud price is positive) and is
-    bounded by the per-service demand; the EN coverage and capacity
-    slacks by the EN capacity; the eligibility slack and the allocations
-    by the per-AP demand; the budget slack by the budget. A bound of
-    zero, as with no demand at all, is exact too: its slack is zero at
-    every follower optimum. On the multiplier side, the eligibility
-    (``cc5``) and budget (``cc6``) pairs take the bound 0 wherever
-    ``zero_multipliers`` proves it from the data; every other constant is
-    the heuristic bound ``multiplier_bounds`` gives for ``m_lin``. The
-    pairs are written either way, so the binary count stays
-    ``2K(M+1)(N+1)`` and HiGHS's presolve removes the pairs a bound of 0
-    settles.
+    delay-cap slack is at most the delay cap; the EN capacity slacks by
+    the EN capacity; the eligibility slack and the allocations by the
+    per-AP demand; the budget slack by the budget. The coverage pairs
+    (``cc2``, ``cc3``) take 0 where the price is positive: buying
+    capacity that no workload uses only adds cost, so the row is tight
+    at every follower optimum. That holds for the cloud row always, as
+    the cloud price is positive, and for an EN's row when its lowest
+    grid price is; an EN with a free price level keeps the capacity
+    bound, and the cloud row with a free cloud price the per-service
+    demand. A bound of zero, as with no demand at all, is exact too: its
+    slack is zero at every follower optimum. On the multiplier side,
+    the delay-cap (``cc1``), eligibility (``cc5``) and budget (``cc6``)
+    pairs take the bound 0 wherever ``zero_multipliers`` proves it from
+    the data: its masks hold for one optimal dual at once, and any
+    optimal dual is complementary to any optimal primal point. Every
+    other constant is the heuristic bound ``multiplier_bounds`` gives
+    for ``m_lin``. The coverage and delay-cap bounds are meant together:
+    the coverage bounds alone made HiGHS's search on desk-size P1
+    larger. The pairs are written either way, so the binary count
+    stays ``2K(M+1)(N+1)`` and HiGHS's presolve removes the pairs a
+    bound of 0 settles. P2 leaves tau unbounded: its models are
+    unchanged by the delay-cap proof.
     """
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     m, lay, ids = build_base(inst, m_lin, "p1", flat=flat,
                              fix_price_level=fix_price_level)
     mu2_max, unit_max, tau_max = ids.bounds
-    mu2_zero, eta_zero = ids.mu2_zero, ids.eta_zero
+    mu2_zero, eta_zero, tau_zero = ids.mu2_zero, ids.eta_zero, ids.tau_zero
     delay_max = float(inst.delay_cap.max(initial=0.0))
-    service_demand = float(inst.demand.sum(axis=0).max(initial=0.0))
     ap_demand = float(inst.demand.max(initial=0.0))
     capacity = float(inst.compute_cap.max(initial=0.0))
+    # A coverage row is tight at every follower optimum where its price
+    # is positive: the cloud's always, an EN's at every grid level when
+    # its lowest is.
+    cloud_cov = (0.0 if inst.cloud_price > 0
+                 else float(inst.demand.sum(axis=0).max(initial=0.0)))
+    edge_cov = np.where(inst.price_grid.min(axis=1) > 0, 0.0,
+                        capacity).tolist()
     budget = float(inst.budget.max(initial=0.0))
     rows = {row.name: (row.coeffs, row.rhs) for row in m.constraints}
 
@@ -95,12 +117,13 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
         # variable, which ``revsum`` pins to the true edge spend.
         for i in range(M):
             _add_pair(m, lay, "cc1", f"{i}_{k}", rows[f"dcap_{i}_{k}"],
-                      delay_max, ids.tau[k][i], tau_max)
+                      delay_max, ids.tau[k][i],
+                      0.0 if tau_zero[i, k] else tau_max)
         _add_pair(m, lay, "cc2", str(k), rows[f"cov0_{k}"],
-                  service_demand, ids.mu1[k], unit_max)
+                  cloud_cov, ids.mu1[k], unit_max)
         for j in range(N):
             _add_pair(m, lay, "cc3", f"{j}_{k}", rows[f"cov_{j}_{k}"],
-                      capacity, ids.lam[k][j], unit_max)
+                      edge_cov[j], ids.lam[k][j], unit_max)
         for j in range(N):
             _add_pair(m, lay, "cc4", f"{j}_{k}", rows[f"cap_{j}_{k}"],
                       capacity, ids.gamma[k][j], unit_max)

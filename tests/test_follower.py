@@ -186,10 +186,10 @@ def test_zero_multiplier_bounds_are_exact():
     every multiplier ``zero_multipliers`` proves 0 fixed at 0 still
     reaches the primal optimum."""
     rng = np.random.default_rng(12)
-    checked = fixed_mu2 = 0
+    checked = fixed_mu2 = fixed_tau = 0
     for inst, draws in _zero_multiplier_cases():
         M, N, K = inst.num_aps, inst.num_ens, inst.num_services
-        mu2_zero, eta_zero = zero_multipliers(inst)
+        mu2_zero, eta_zero, tau_zero = zero_multipliers(inst)
         lay = DualLayout(M, N)
         for _ in range(draws):
             level = rng.integers(0, inst.num_price_levels, size=N)
@@ -203,6 +203,8 @@ def test_zero_multiplier_bounds_are_exact():
                 dual = build_follower_dual(ctx)
                 fixed = [lay.eta(i, j) for i in range(M) for j in range(N)
                          if eta_zero[i, j, k]]
+                fixed += [lay.tau(i) for i in range(M) if tau_zero[i, k]]
+                fixed_tau += int(tau_zero[:, k].sum())
                 if mu2_zero[k]:
                     fixed.append(lay.mu2())
                     fixed_mu2 += 1
@@ -213,4 +215,36 @@ def test_zero_multiplier_bounds_are_exact():
                 assert abs(dsol.objective - primal.objective) <= \
                     1e-9 * max(1.0, abs(primal.objective)), (k, prices)
                 checked += 1
-    assert checked > 1000 and fixed_mu2 > 0
+    assert checked > 1000 and fixed_mu2 > 0 and fixed_tau > 0
+
+
+def test_coverage_rows_are_tight_where_priced():
+    """At random prices and placements, the follower LP with ``cov0`` and
+    each ``cov_j`` of positive price written as equalities reaches the
+    same optimum, infeasibility included: those rows are tight at every
+    optimum, which is why P1's coverage pairs take a slack-side bound
+    of 0."""
+    rng = np.random.default_rng(13)
+    checked = 0
+    for inst, draws in _zero_multiplier_cases():
+        N, K = inst.num_ens, inst.num_services
+        for _ in range(draws):
+            level = rng.integers(0, inst.num_price_levels, size=N)
+            prices = inst.price_grid[np.arange(N), level]
+            for k in range(K):
+                ctx = FollowerContext(inst, k, prices,
+                                      rng.integers(0, 2, size=N))
+                free = build_follower_lp(ctx)
+                tight = build_follower_lp(ctx)
+                names = {f"cov0_{k}"} | {f"cov_{j}_{k}" for j in range(N)
+                                         if prices[j] > 0}
+                for row in free.constraints:
+                    if row.name in names:
+                        tight.add_constr(row.coeffs, lp_core.GE, row.rhs)
+                a, b = lp_core.solve_lp(free), lp_core.solve_lp(tight)
+                assert a.status == b.status, (k, prices)
+                if a.status == lp_core.OPTIMAL:
+                    assert abs(a.objective - b.objective) <= \
+                        1e-9 * max(1.0, abs(a.objective)), (k, prices)
+                    checked += 1
+    assert checked > 1000

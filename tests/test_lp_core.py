@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize as sopt
+import scipy.sparse as sp
+from scipy.optimize._highspy import _core as _highs
 
 from edgemarket import lp_core
 from edgemarket.lp_core import (GE, LE, EQ, INFEASIBLE, OPTIMAL, TIME_LIMIT,
@@ -195,18 +197,69 @@ def breaks_a_binary_row(m, fixed):
     return False
 
 
+class _HotLp:
+    """The LP of ``linprog_arrays`` held in one HiGHS instance of its own,
+    loaded through scipy's HiGHS binding directly, not through lp_core,
+    and re-solved after each change of column bounds."""
+
+    def __init__(self, arrays):
+        self.c = arrays["c"]
+        n = len(self.c)
+        def block(key, shape):
+            return arrays[key] if arrays[key] is not None else np.zeros(shape)
+        A_ub, A_eq = block("A_ub", (0, n)), block("A_eq", (0, n))
+        b_ub, b_eq = block("b_ub", 0), block("b_eq", 0)
+        A = sp.csc_array(np.vstack([A_ub, A_eq]))
+        lp = _highs.HighsLp()
+        lp.num_row_, lp.num_col_ = A.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_ = A.indptr, A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_ = arrays["sign"] * self.c
+        lp.col_lower_, lp.col_upper_ = map(np.array, zip(*arrays["bounds"]))
+        lp.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+        lp.row_upper_ = np.concatenate([b_ub, b_eq])
+        self.h = _highs._Highs()
+        self.h.setOptionValue("output_flag", False)
+        self.h.passModel(lp)
+
+    def solve(self, fixed):
+        """Status and objective with each column of ``fixed``, a map of
+        id to value, fixed there."""
+        ids = np.fromiter(fixed, np.int64, len(fixed))
+        vals = np.fromiter(fixed.values(), float, len(fixed))
+        self.h.changeColsBounds(len(ids), ids, vals, vals)
+        status = self.run()
+        if status == _highs.HighsModelStatus.kUnboundedOrInfeasible:
+            self.h.setOptionValue("presolve", "off")
+            status = self.run()
+            self.h.setOptionValue("presolve", "on")
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return INFEASIBLE, None
+        assert status == _highs.HighsModelStatus.kOptimal, status
+        return OPTIMAL, float(self.c @ np.array(
+            self.h.getSolution().col_value))
+
+    def run(self):
+        self.h.run()
+        return self.h.getModelStatus()
+
+
 def milp_oracle(m):
-    """Exhaustive enumeration over binary assignments, with each LP for
-    the rest solved by linprog, not by the code under test. Assignments
-    that break a row over binaries only are infeasible and skipped."""
+    """Exhaustive enumeration over binary assignments. The LP for the
+    rest is built once, by ``linprog_arrays`` and ``_HotLp``, not by the
+    code under test, and re-solved with each assignment's binaries
+    fixed. Assignments that break a row over binaries only are
+    infeasible and skipped."""
     binaries = m.binary_ids
-    arrays = linprog_arrays(m)
+    lp = _HotLp(linprog_arrays(m))
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        if breaks_a_binary_row(m, dict(zip(binaries, bits))):
+        fixed = dict(zip(binaries, bits))
+        if breaks_a_binary_row(m, fixed):
             continue
-        status, objective, _ = linprog_reference(
-            m, {vid: (b, b) for vid, b in zip(binaries, bits)}, arrays)
+        status, objective = lp.solve(fixed)
         if status != OPTIMAL:
             continue
         if best is None or objective > best:

@@ -30,23 +30,63 @@ def test_binary_count_formula():
             + 2 * K * (M + 1) * (N + 1)
 
 
+def _slack_side_constants(inst, families):
+    """{row name: its switch's coefficient} of P1's rows of ``families``."""
+    model, lay = build_p1(inst)
+    switches = {s for s, _ in lay.pairs}
+    out = {}
+    for row in model.constraints:
+        if row.name.split("_")[0] in families:
+            (coef,) = [c for vid, c in row.coeffs.items() if vid in switches]
+            out[row.name] = coef
+    return out
+
+
 def test_derive_bigm_dominates_data():
     """The switch in each slack-side row has its exact data bound as its
-    coefficient."""
+    coefficient. The coverage rows take 0: each is tight at every
+    follower optimum, since the cloud price and every grid price of the
+    seed are positive."""
     inst = tiny_instance(3)
-    model, _ = build_p1(inst)
-    bounds = {"cc1s": inst.delay_cap.max(),
-              "cc2s": inst.demand.sum(axis=0).max(),
-              "cc3s": inst.compute_cap.max(), "cc6s": inst.budget.max()}
-    seen = set()
-    for row in model.constraints:
-        family = row.name.split("_")[0]
-        if family in bounds:
-            (coef,) = [c for vid, c in row.coeffs.items()
-                       if model.variables[vid].binary]
-            assert coef == -bounds[family], row.name
-            seen.add(family)
-    assert seen == bounds.keys()
+    assert inst.price_grid.min() > 0
+    bounds = {"cc1s": inst.delay_cap.max(), "cc2s": 0.0, "cc3s": 0.0,
+              "cc6s": inst.budget.max()}
+    constants = _slack_side_constants(inst, bounds)
+    for name, coef in constants.items():
+        assert coef == -bounds[name.split("_")[0]], name
+    assert {name.split("_")[0] for name in constants} == bounds.keys()
+
+
+def _free_first_level(seed):
+    """Tiny instance ``seed`` with two ENs, EN 0's lowest grid price set
+    to 0.0: its coverage row need not be tight where that level is
+    picked. The instance stays valid, as only the cloud price must be
+    positive."""
+    inst = tiny_instance(seed, num_ens=2)
+    grid = inst.price_grid.copy()
+    grid[0, 0] = 0.0
+    inst = dataclasses.replace(inst, price_grid=grid)
+    assert validate_instance(inst).ok
+    return inst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 7])
+def test_free_price_level_keeps_the_capacity_bound(seed):
+    """On an EN whose lowest grid price is 0, the coverage pair keeps the
+    capacity bound; the other EN takes 0, and P1, P2 and the oracle
+    agree."""
+    inst = _free_first_level(seed)
+    constants = _slack_side_constants(inst, {"cc3s"})
+    assert constants
+    for name, coef in constants.items():
+        j = int(name.split("_")[1])
+        expected = inst.compute_cap.max() if j == 0 else 0.0
+        assert coef == -expected, name
+    oracle = brute_force_bilevel(inst, keep_log=False)
+    for solve in (solve_p1, solve_p2):
+        res = solve(inst, CFG)
+        report = compare(oracle, res.objective, res.status)
+        assert report.passed, (solve.__name__, report)
 
 
 def _rows_at_two_scales(build, inst):
@@ -76,7 +116,7 @@ def test_escalation_changes_only_multiplier_rows():
     # At the seed's own budget, mu2 and eta are proven 0, and their rows
     # keep that bound at every scale.
     inst = tiny_instance(0)
-    mu2_zero, eta_zero = zero_multipliers(inst)
+    mu2_zero, eta_zero, _ = zero_multipliers(inst)
     assert mu2_zero.all() and eta_zero.all()
     base, scaled = _rows_at_two_scales(build_p1, inst)
     families = {a.name.split("_")[0] for a, b in zip(base, scaled) if a != b}
