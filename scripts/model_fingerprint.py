@@ -14,12 +14,21 @@ every model unchanged prints the same lines as its parent:
 
 The optional argument is the ``src`` directory of the checkout to load
 ``edgemarket`` from; by default it is this repository's own ``src``.
+
+``--by-family`` prints one hash per row family of each model instead,
+the family being a row name's prefix before its first ``_`` (``hub1``,
+``revdef``, ``cc3s``), plus one for the columns and the objective,
+``(columns)``. A diff of two such outputs names the families a change
+touched:
+
+    python3 scripts/model_fingerprint.py --by-family > after.txt
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +67,29 @@ def fingerprint(model) -> str:
     return digest.hexdigest()
 
 
+def family_fingerprints(model) -> dict:
+    """{row family: SHA-256 of its rows' names, senses, right-hand sides
+    and coefficients}, plus ``(columns)`` for the column names, bounds,
+    binaries and the objective."""
+    digests = defaultdict(hashlib.sha256)
+    for row in model.constraints:
+        coeffs = sorted(row.coeffs.items())
+        digests[row.name.split("_")[0]].update(
+            f"{row.name} {row.sense} {float(row.rhs).hex()} ".encode()
+            + " ".join(f"{vid}:{float(c).hex()}" for vid, c in coeffs).encode()
+            + b"\n")
+    columns = digests["(columns)"]
+    columns.update(model.obj_sense.encode())
+    for v in model.variables:
+        columns.update(f"{v.name} {v.lb.hex()} {v.ub.hex()} {v.binary} "
+                       f"{float(model.objective.get(v.vid, 0.0)).hex()}\n"
+                       .encode())
+    return {name: d.hexdigest() for name, d in sorted(digests.items())}
+
+
 def main(argv) -> int:
+    by_family = "--by-family" in argv
+    argv = [a for a in argv if a != "--by-family"]
     here = Path(__file__).resolve().parents[1] / "src"
     src = Path(argv[1]) if len(argv) > 1 else here
     sys.path.insert(0, str(src))
@@ -71,7 +102,12 @@ def main(argv) -> int:
                               ("p2", reform_dual.build_p2)):
             for variant, kwargs in variants:
                 model, _ = build(inst, **kwargs)
-                print(f"{label}/{method}/{variant} {fingerprint(model)}")
+                name = f"{label}/{method}/{variant}"
+                if not by_family:
+                    print(f"{name} {fingerprint(model)}")
+                    continue
+                for family, digest in family_fingerprints(model).items():
+                    print(f"{name} {family} {digest}")
     return 0
 
 

@@ -14,7 +14,8 @@ and adds complementarity pairs over the follower's primal rows
 - ``add_dual_rows``: each service's dual rows, as equalities in P1
   (stationarity) and as ``<=`` rows in P2 (dual feasibility);
 - ``add_revenue_hull``: each service's primal-side revenue, price times
-  procurement, over the same kind of one-hot hull. With ``revdef`` it is
+  procurement, over the same kind of one-hot hull, each level's share
+  boxed by the ``purchase_caps`` the data prove. With ``revdef`` it is
   the strong-duality equality. Both methods carry it: P2 needs it to
   certify follower optimality, and in P1, whose complementarity pairs
   already certify it, it tightens the LP relaxation to P2's. So a fault
@@ -35,6 +36,13 @@ both methods; on tau it is the multiplier side of P1's delay-cap pair
 only. Either way HiGHS's presolve removes what it kills, while every
 row is still written. The slack-side constants of P1's pairs are exact
 data bounds, chosen by ``reform_kkt.build_p1``.
+
+It also owns the primal-side purchase caps: ``purchase_caps`` bounds
+what each service can buy from each EN at each price level at any
+follower optimum, which is 0 at a level where the cloud is cheaper per
+unit for every AP whose delay cap every option meets. They are exact,
+so ``validate_bigM`` and the escalation loop never see them; both
+methods take them through the one writer, ``add_revenue_hull``.
 
 The reference code the reformulations are tested against writes its
 rows separately on purpose, so that no fault in these shared writers
@@ -176,6 +184,46 @@ def zero_multipliers(inst: Instance,
     return spend * (1.0 + 1e-9) < inst.budget, inst.eligible == 1, tau
 
 
+def purchase_caps(inst: Instance) -> np.ndarray:
+    """The most service k can buy from EN j at price level v at any
+    follower optimum, as an (N, V, K) array: the box of ``h[j,v,k]`` in
+    ``add_revenue_hull``.
+
+    AP i sends nothing to EN j at level v at any follower optimum when
+    all three hold:
+
+    - every option of AP i meets service k's delay cap (the ``tau`` mask
+      of ``zero_multipliers``);
+    - the cloud is strictly cheaper per unit for AP i,
+      ``pg[j,v] + w_k d[i,j] > c0 + w_k d0[i]``, by a relative 1e-9, so
+      that rounding in the products cannot turn a tie into a proof;
+    - ``c0 <= pg[j,v]``, so moving workload to the cloud cannot raise
+      the spend.
+
+    Moving that AP's workload from EN j to the cloud, with ``y[j]`` and
+    ``y0`` following it, keeps ``bal``, ``cov``, ``cap`` and ``elig``;
+    ``dcap`` holds by the first condition, since AP i's average delay
+    stays a mix of delays within the cap, and ``budget`` by the third.
+    The move strictly lowers the cost, so no optimum sends AP i's
+    workload to EN j. Where ``pg[j,v] > 0`` the coverage row of EN j is
+    tight at every optimum, so ``y[j,k]`` is at most the demand of the
+    eligible APs left, and the cap is ``min(C_j, that sum)``; where
+    ``pg[j,v] <= 0`` it is ``C_j``. No budget condition is needed, and
+    the cap holds under optimistic selection, since every optimal
+    response obeys it.
+    """
+    pg = inst.price_grid[:, :, None]                                # (N, V, 1)
+    w, c0 = inst.delay_weight, inst.cloud_price
+    cloud = c0 + w * inst.delay_cloud[:, None]                      # (M, K)
+    edge = pg + w * inst.delay_edge[:, :, None, None]               # (M, N, V, K)
+    gone = (zero_multipliers(inst)[2][:, None, None, :] & (c0 <= pg)
+            & (cloud[:, None, None, :] * (1.0 + 1e-9) < edge))
+    eligible = inst.demand[:, None, None, :] * inst.eligible[:, :, None, :]
+    left = (eligible * ~gone).sum(axis=0)                           # (N, V, K)
+    cap = inst.compute_cap[:, None, None]
+    return np.where(pg > 0, np.minimum(cap, left), cap)
+
+
 def build_base(inst: Instance, m_lin: float, name: str,
                flat: bool = False,
                fix_price_level: Optional[int] = None,
@@ -192,7 +240,9 @@ def build_base(inst: Instance, m_lin: float, name: str,
     reads thousands. ``ids`` also carries the constants the build used,
     so that a build computes each once: ``ids.bounds``, the
     ``multiplier_bounds`` at ``m_lin``, and the ``zero_multipliers``
-    masks ``ids.mu2_zero``, ``ids.eta_zero`` and ``ids.tau_zero``.
+    masks ``ids.mu2_zero``, ``ids.eta_zero`` and ``ids.tau_zero``, and
+    the ``purchase_caps`` array ``ids.caps`` that ``add_revenue_hull``
+    boxes each price level's purchase with.
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
     products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
@@ -238,7 +288,7 @@ def build_base(inst: Instance, m_lin: float, name: str,
         for sym, _, shape, _ in service_columns})
     ids = SimpleNamespace(r=r.tolist(), z=z.tolist(), t=t.T.tolist(),
                           bounds=bounds, mu2_zero=mu2_zero, eta_zero=eta_zero,
-                          tau_zero=tau_zero,
+                          tau_zero=tau_zero, caps=purchase_caps(inst),
                           **{sym: [] for sym, *_ in service_columns})
     eta_ub = np.where(eta_zero, 0.0, math.inf)
     for k in range(K):
@@ -381,20 +431,27 @@ def add_revenue_hull(m: LinearModel, inst: Instance, lay: MilpLayout,
                      ids: SimpleNamespace, k: int) -> None:
     """Write service ``k``'s revenue as price times procurement:
     ``revsum``, ``rev[k] = sum_{j,v} pg[j,v] h[j,v,k]``, over the hull of
-    ``h = r * y``: ``hub1``, ``h[j,v,k] <= C_j r[j,v]``, and ``hsum``,
-    ``sum_v h[j,v,k] = y[j,k]``. ``y[j,k] <= C_j`` holds through
-    ``encap``, so the box is exact, and the hull implies the McCormick
-    rows ``h <= y`` and ``y - h <= C_j (1 - r)``, which are not written.
-    With ``revdef`` this is the strong-duality equality."""
+    ``h = r * y``: ``hub1``, ``h[j,v,k] <= caps[j,v,k] r[j,v]``, and
+    ``hsum``, ``sum_v h[j,v,k] = y[j,k]``. The box ``caps`` is
+    ``purchase_caps(inst)``, carried in ``ids.caps``: the most service k
+    buys from EN j at level v at any follower optimum. That is 0 where
+    the cloud is cheaper per unit for every AP whose delay cap every
+    option meets, and otherwise at most ``C_j`` (see ``purchase_caps``
+    for the proof). So the box cuts off no follower-optimal response, it
+    is exact at integer points, and, as no cap exceeds ``C_j``, the hull
+    still implies the McCormick rows ``h <= y`` and
+    ``y - h <= C_j (1 - r)``, which are not written. With ``revdef``
+    this is the strong-duality equality."""
     N, V = inst.num_ens, inst.num_price_levels
     h = m.add_vars("h", (N, V), f"_{k}")
     lay.h[:, :, k] = h
     h, r, y, rev = h.tolist(), ids.r, ids.y_edge[k], ids.rev[k]
-    # y splits across the price levels, each share boxed by its binary.
+    caps = ids.caps[:, :, k].tolist()
+    # y splits across the price levels, each share boxed by its binary
+    # and by what the service can buy at that level.
     for j in range(N):
-        cap = inst.compute_cap[j]
         for v in range(V):
-            m.add_constr({h[j][v]: 1.0, r[j][v]: -cap}, LE, 0.0,
+            m.add_constr({h[j][v]: 1.0, r[j][v]: -caps[j][v]}, LE, 0.0,
                          name=f"hub1_{j}_{v}_{k}")
         coeffs = dict.fromkeys(h[j], 1.0)
         coeffs[y[j]] = -1.0

@@ -2,13 +2,14 @@
 responses and infeasibility diagnosis."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from edgemarket import lp_core
-from edgemarket._milp_base import zero_multipliers
-from edgemarket.follower import (DualLayout, FollowerContext,
+from edgemarket._milp_base import purchase_caps, zero_multipliers
+from edgemarket.follower import (DualLayout, FollowerColumns, FollowerContext,
                                  FollowerInfeasibleError,
                                  build_follower_dual, build_follower_lp,
                                  check_strong_duality,
@@ -248,3 +249,48 @@ def test_coverage_rows_are_tight_where_priced():
                         1e-9 * max(1.0, abs(a.objective)), (k, prices)
                     checked += 1
     assert checked > 1000
+
+
+def _largest_purchases(ctx):
+    """{placed EN j: the most any optimal response at ``ctx`` buys from
+    it}: the follower LP, its cost pinned at the optimum plus 1e-12, with
+    ``y[j]`` maximized. Empty where the LP has no optimum."""
+    lp = build_follower_lp(ctx)
+    sol = lp_core.solve_lp(lp)
+    if sol.status != lp_core.OPTIMAL:
+        return {}
+    lp.add_constr(lp.objective, lp_core.LE, sol.objective + 1e-12)
+    y = FollowerColumns.follower_lp(ctx.inst.num_aps, ctx.inst.num_ens).y
+    out = {}
+    for j in np.flatnonzero(ctx.placed):
+        lp.set_objective({y[j]: 1.0}, "max")
+        most = lp_core.solve_lp(lp)
+        assert most.status == lp_core.OPTIMAL
+        out[j] = most.objective
+    return out
+
+
+def test_purchase_caps_bound_every_optimal_response():
+    """At every placement row and every price vector of the placed ENs,
+    no follower-optimal response buys more from EN j than
+    ``purchase_caps`` allows at its price level, budgets tight or not."""
+    tiny = [tiny_instance(s) for s in range(40)]
+    checked = zero_caps = 0
+    for inst in tiny + [tight_budget(inst) for inst in tiny]:
+        caps = purchase_caps(inst)
+        N, V = inst.num_ens, inst.num_price_levels
+        for k in range(inst.num_services):
+            for placed in itertools.product((0, 1), repeat=N):
+                on = np.flatnonzero(placed)
+                for levels in itertools.product(range(V), repeat=on.size):
+                    level = np.zeros(N, dtype=int)
+                    level[on] = levels
+                    ctx = FollowerContext(
+                        inst, k, inst.price_grid[np.arange(N), level], placed)
+                    for j, most in _largest_purchases(ctx).items():
+                        cap = caps[j, level[j], k]
+                        assert most <= cap * (1 + 1e-6) + 1e-5, \
+                            (k, placed, level, j, most, cap)
+                        checked += 1
+                        zero_caps += cap == 0.0
+    assert checked > 1000 and zero_caps > 0

@@ -11,9 +11,10 @@ import pytest
 
 from edgemarket import lp_core, reform_dual, reform_kkt
 from edgemarket._milp_base import (MAX_ESCALATIONS, M_LIN, IntegrityError,
-                                   extract_solution, multiplier_bounds)
+                                   extract_solution, multiplier_bounds,
+                                   purchase_caps)
 from edgemarket.lp_core import LE, MilpConfig, MilpSolution, solve_lp
-from edgemarket.model import leader_profit
+from edgemarket.model import leader_profit, validate_instance
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import (build_p2, solve_p2,
                                     verify_bilevel_optimality)
@@ -305,3 +306,87 @@ def test_extract_rejects_a_broken_point(solve, build):
         extract((lay.r[0, 0], 1.0), (lay.r[0, 1], 1.0), (lay.r[0, 2], 0.0))
     with pytest.raises(IntegrityError, match="revenue variable for service 0"):
         extract((lay.rev[0], res.milp.x[lay.rev[0]] + 1.0))
+
+
+def _provable(seed):
+    """A two-AP, two-EN tiny instance where every option of every AP
+    meets every delay cap, so ``purchase_caps`` drops each AP the cloud
+    undercuts per unit."""
+    inst = tiny_instance(seed, num_aps=2, num_ens=2)
+    return dataclasses.replace(inst, delay_cap=np.full(inst.num_services,
+                                                       100.0))
+
+
+def _none_kept(inst):
+    """A mask ``keep[i, j, k, v]`` naming no AP."""
+    return np.zeros(inst.eligible.shape + (inst.num_price_levels,), bool)
+
+
+def _below_cloud_price(inst):
+    # The cloud at 0.02 undercuts level 0 (0.01) per unit, since the
+    # cloud has no delay, but level 0 spends less: with the budgets
+    # below the all-cloud spend, services must buy there.
+    inst = dataclasses.replace(
+        inst, cloud_price=0.02, delay_cloud=np.zeros(inst.num_aps),
+        delay_weight=np.full(inst.num_services, 0.006))
+    keep = _none_kept(inst)
+    keep[:, :, :, 0] = True
+    return (dataclasses.replace(inst,
+                                budget=0.015 * inst.demand.sum(axis=0)),
+            keep)
+
+
+def _free_level(inst):
+    grid = inst.price_grid.copy()
+    grid[0, 0] = 0.0
+    keep = _none_kept(inst)
+    keep[:, 0, :, 0] = True
+    return dataclasses.replace(inst, price_grid=grid), keep
+
+
+def _slow_cloud_at_one_ap(inst):
+    delay = inst.delay_cloud.copy()
+    delay[0] = 120.0
+    keep = _none_kept(inst)
+    keep[0] = True
+    return dataclasses.replace(inst, delay_cloud=delay), keep
+
+
+def _cost_tie(inst):
+    # EN 0's delays equal the cloud's, and its level 1 the cloud price:
+    # services are indifferent there, and the leader may pick the
+    # response that buys from EN 0.
+    delay = inst.delay_edge.copy()
+    delay[:, 0] = inst.delay_cloud
+    keep = _none_kept(inst)
+    keep[:, 0, :, 1] = True
+    return (dataclasses.replace(inst, delay_edge=delay,
+                                cloud_price=inst.price_grid[0, 1]), keep)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5, 7])
+@pytest.mark.parametrize("edit", [_below_cloud_price, _free_level,
+                                  _slow_cloud_at_one_ap, _cost_tie])
+def test_purchase_caps_keep_the_aps_the_proof_misses(edit, seed):
+    """Each edit breaks one condition of ``purchase_caps``'s proof for
+    the APs ``keep[i, j, k, v]`` names: a level below the cloud price, a
+    free level, a cloud delay above the delay cap, an exact per-unit cost
+    tie; the other conditions hold there. Their demand stays in the
+    caps, and a free level keeps ``C_j``. P1, P2 on both backends and
+    the oracle agree."""
+    inst, keep = edit(_provable(seed))
+    assert validate_instance(inst).ok
+    cap = inst.compute_cap[:, None, None]
+    kept = np.einsum("ik,ijk,ijkv->jvk", inst.demand, inst.eligible, keep)
+    floor = np.minimum(cap, kept)
+    caps = purchase_caps(inst)
+    assert (caps >= floor * (1 - 1e-12)).all()
+    assert (floor > 0).any()
+    free = inst.price_grid <= 0
+    assert (caps[free] == np.broadcast_to(cap, caps.shape)[free]).all()
+    oracle = brute_force_bilevel(inst, keep_log=False)
+    for solve, backend in ((solve_p1, "highs"), (solve_p2, "highs"),
+                           (solve_p2, "bnb")):
+        res = solve(inst, MilpConfig(backend=backend))
+        report = compare(oracle, res.objective, res.status)
+        assert report.passed, (solve.__name__, backend, report)
