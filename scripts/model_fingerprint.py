@@ -1,11 +1,16 @@
-"""Print one SHA-256 per compiled P1 and P2 model over a fixed suite.
+"""Print one SHA-256 per compiled P1, P2 and follower model over a fixed
+suite.
 
 The suite is P1 and P2, each plain (``dyn``), with ``flat=True`` and with
 ``fix_price_level=1``, on tiny seeds 0-39, desk seeds 0-4 (6x3x4) and
-base seeds 0-2 (the default size): 288 models. Each hash covers what
-HiGHS is handed and how the model names it: the objective sense and
-cost vector, the CSC matrix, the row and column bounds, the binary ids,
-and the variable and constraint names. A change that claims to leave
+base seeds 0-2 (the default size): 288 models. With them come every
+service's follower LP and explicit dual on each of those instances at two
+fixed contexts, ``low`` (every EN placed, at its lowest grid price) and
+``alt-top`` (ENs 0, 2, ... placed, every price at the top of the grid):
+396 models, 684 in all. Each hash covers what HiGHS is handed and how
+the model names it: the objective sense and cost vector, the CSC matrix,
+the row and column bounds, the binary ids, and the variable and
+constraint names. A change that claims to leave
 every model unchanged prints the same lines as its parent:
 
     python3 scripts/model_fingerprint.py > after.txt
@@ -93,7 +98,14 @@ def main(argv) -> int:
     here = Path(__file__).resolve().parents[1] / "src"
     src = Path(argv[1]) if len(argv) > 1 else here
     sys.path.insert(0, str(src))
-    from edgemarket import reform_dual, reform_kkt, scenario
+    from edgemarket import follower, reform_dual, reform_kkt, scenario
+
+    def show(name, model):
+        if not by_family:
+            print(f"{name} {fingerprint(model)}")
+            return
+        for family, digest in family_fingerprints(model).items():
+            print(f"{name} {family} {digest}")
 
     variants = (("dyn", {}), ("flat", {"flat": True}),
                 ("fixlvl1", {"fix_price_level": 1}))
@@ -102,12 +114,20 @@ def main(argv) -> int:
                               ("p2", reform_dual.build_p2)):
             for variant, kwargs in variants:
                 model, _ = build(inst, **kwargs)
-                name = f"{label}/{method}/{variant}"
-                if not by_family:
-                    print(f"{name} {fingerprint(model)}")
-                    continue
-                for family, digest in family_fingerprints(model).items():
-                    print(f"{name} {family} {digest}")
+                show(f"{label}/{method}/{variant}", model)
+        N = inst.num_ens
+        contexts = (("low", inst.price_grid[:, 0], np.ones(N, dtype=int)),
+                    ("alt-top", inst.price_grid[:, -1], np.arange(N) % 2 == 0))
+        for k in range(inst.num_services):
+            for ctx_name, prices, placed in contexts:
+                ctx = follower.FollowerContext(inst, k, prices, placed)
+                for kind, build in (("lp", follower.build_follower_lp),
+                                    ("dual", follower.build_follower_dual)):
+                    # The builders return the model alone in older
+                    # checkouts and (model, ids) since.
+                    built = build(ctx)
+                    model = built[0] if isinstance(built, tuple) else built
+                    show(f"{label}/follower{k}/{ctx_name}/{kind}", model)
     return 0
 
 

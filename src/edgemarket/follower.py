@@ -8,7 +8,9 @@ LP here (constant prices and placement) and for both MILPs (prices
 through the revenue column, placement through the binaries ``t``).
 ``build_follower_dual`` writes the dual on its own, apart from the
 MILPs' ``_milp_base.add_dual_rows``, because it is the reference the
-multipliers are tested against.
+multipliers are tested against. Both builders create their columns with
+``LinearModel.add_vars`` and return the ids with the model, as
+``build_p1`` and ``build_p2`` return their layouts.
 """
 
 from __future__ import annotations
@@ -66,16 +68,6 @@ class FollowerColumns:
     rev: Optional[int] = None
     t: Optional[Sequence[int]] = None
 
-    @classmethod
-    def follower_lp(cls, M: int, N: int) -> "FollowerColumns":
-        """The follower LP's ids: x0, x, y0, y, da in that order."""
-        y0 = M + M * N
-        return cls(x0=list(range(M)),
-                   x=[list(range(M + i * N, M + (i + 1) * N))
-                      for i in range(M)],
-                   y0=y0, y=list(range(y0 + 1, y0 + 1 + N)),
-                   da=list(range(y0 + 1 + N, y0 + 1 + N + M)))
-
 
 def add_follower_rows(m: LinearModel, inst: Instance, k: int,
                       cols: FollowerColumns,
@@ -131,115 +123,77 @@ def add_follower_rows(m: LinearModel, inst: Instance, k: int,
                  name=f"budget_{k}")
 
 
-def build_follower_lp(ctx: FollowerContext) -> LinearModel:
-    """Cost-minimization LP of one service for fixed prices/placement."""
+def build_follower_lp(ctx: FollowerContext) -> Tuple[LinearModel,
+                                                      FollowerColumns]:
+    """Cost-minimization LP of one service for fixed prices/placement,
+    and the ids of its columns ``x0, x, y0, y, da``."""
     inst, k = ctx.inst, ctx.k
     M, N = inst.num_aps, inst.num_ens
-    cols = FollowerColumns.follower_lp(M, N)
     m = LinearModel(name=f"follower{k}", sense="min")
-    for i in range(M):
-        m.add_var(f"x0_{i}")
-    for i in range(M):
-        for j in range(N):
-            m.add_var(f"x_{i}_{j}")
-    m.add_var("y0")
-    for j in range(N):
-        m.add_var(f"y_{j}")
-    for i in range(M):
-        m.add_var(f"da_{i}")
+    x0, x = m.add_vars("x0", (M,)), m.add_vars("x", (M, N))
+    y0, y = m.add_var("y0"), m.add_vars("y", (N,))
+    da = m.add_vars("da", (M,))
+    cols = FollowerColumns(x0=x0.tolist(), x=x.tolist(), y0=y0, y=y.tolist(),
+                           da=da.tolist())
     add_follower_rows(m, inst, k, cols, prices=ctx.prices, placed=ctx.placed)
 
     w = inst.delay_weight[k]
-    obj = {cols.y0: inst.cloud_price}
-    for j in range(N):
-        obj[cols.y[j]] = ctx.prices[j]
-    for i in range(M):
-        obj[cols.x0[i]] = w * inst.delay_cloud[i]
-        for j in range(N):
-            obj[cols.x[i][j]] = w * inst.delay_edge[i, j]
+    obj = {y0: inst.cloud_price, **dict(zip(cols.y, ctx.prices))}
+    obj.update(zip(cols.x0, w * inst.delay_cloud))
+    obj.update(zip(x.ravel().tolist(), (w * inst.delay_edge).ravel()))
     m.set_objective(obj)
-    return m
+    return m, cols
 
 
-class DualLayout:
-    """Deterministic variable ids of the explicit follower dual LP."""
-
-    def __init__(self, M: int, N: int):
-        self.M, self.N = M, N
-
-    def xi(self, i): return i
-    def sigma(self, i): return self.M + i
-    def tau(self, i): return 2 * self.M + i
-    def mu1(self): return 3 * self.M
-    def mu2(self): return 3 * self.M + 1
-    def lam(self, j): return 3 * self.M + 2 + j
-    def gamma(self, j): return 3 * self.M + 2 + self.N + j
-    def eta(self, i, j): return 3 * self.M + 2 + 2 * self.N + i * self.N + j
-    def zeta(self, i): return 3 * self.M + 2 + 2 * self.N + self.M * self.N + i
-    def eps(self, i, j):
-        return 4 * self.M + 2 + 2 * self.N + self.M * self.N + i * self.N + j
-
-
-def build_follower_dual(ctx: FollowerContext) -> LinearModel:
+def build_follower_dual(ctx: FollowerContext) -> Tuple[LinearModel, dict]:
     """Explicit dual of the follower LP, written constraint-for-constraint
-    in the same form both MILP reformulations embed."""
+    in the same form both MILP reformulations embed, and the ids of its
+    columns: one index array (an int for ``mu1`` and ``mu2``) per field of
+    ``DualSolution``. A solved point ``x`` reads as
+    ``DualSolution(**{n: x[ids[n]] for n in ids})``."""
     inst, k = ctx.inst, ctx.k
     M, N = inst.num_aps, inst.num_ens
-    lay = DualLayout(M, N)
     m = LinearModel(name=f"follower{k}_dual", sense="max")
-    for i in range(M):
-        m.add_var(f"xi_{i}", lb=-math.inf)
-    for i in range(M):
-        m.add_var(f"sigma_{i}", lb=-math.inf)
-    for i in range(M):
-        m.add_var(f"tau_{i}")
-    m.add_var("mu1")
-    m.add_var("mu2")
-    for j in range(N):
-        m.add_var(f"lam_{j}")
-    for j in range(N):
-        m.add_var(f"gamma_{j}")
-    for i in range(M):
-        for j in range(N):
-            m.add_var(f"eta_{i}_{j}")
-    for i in range(M):
-        m.add_var(f"zeta_{i}")
-    for i in range(M):
-        for j in range(N):
-            m.add_var(f"eps_{i}_{j}")
+    free = -math.inf
+    xi = m.add_vars("xi", (M,), lb=free)
+    sigma = m.add_vars("sigma", (M,), lb=free)
+    tau, mu1, mu2 = m.add_vars("tau", (M,)), m.add_var("mu1"), m.add_var("mu2")
+    lam, gamma = m.add_vars("lam", (N,)), m.add_vars("gamma", (N,))
+    eta, zeta = m.add_vars("eta", (M, N)), m.add_vars("zeta", (M,))
+    eps = m.add_vars("eps", (M, N))
+    ids = dict(xi=xi, sigma=sigma, tau=tau, mu1=mu1, mu2=mu2, lam=lam,
+               gamma=gamma, eta=eta, zeta=zeta, eps=eps)
 
     w = inst.delay_weight[k]
     for j in range(N):
-        m.add_constr({lay.lam(j): 1.0, lay.gamma(j): -1.0,
-                      lay.mu2(): -ctx.prices[j]}, LE, ctx.prices[j],
-                     name=f"dy_{j}")
-    m.add_constr({lay.mu1(): 1.0, lay.mu2(): -inst.cloud_price}, LE,
-                 inst.cloud_price, name="dy0")
+        m.add_constr({lam[j]: 1.0, gamma[j]: -1.0, mu2: -ctx.prices[j]},
+                     LE, ctx.prices[j], name=f"dy_{j}")
+    m.add_constr({mu1: 1.0, mu2: -inst.cloud_price}, LE, inst.cloud_price,
+                 name="dy0")
     for i in range(M):
-        m.add_constr({lay.sigma(i): -inst.demand[i, k], lay.tau(i): -1.0},
-                     LE, 0.0, name=f"dda_{i}")
+        m.add_constr({sigma[i]: -inst.demand[i, k], tau[i]: -1.0}, LE, 0.0,
+                     name=f"dda_{i}")
     for i in range(M):
         for j in range(N):
-            m.add_constr({lay.xi(i): 1.0, lay.sigma(i): inst.delay_edge[i, j],
-                          lay.lam(j): -1.0, lay.eta(i, j): -1.0,
-                          lay.eps(i, j): 1.0}, LE,
+            m.add_constr({xi[i]: 1.0, sigma[i]: inst.delay_edge[i, j],
+                          lam[j]: -1.0, eta[i, j]: -1.0, eps[i, j]: 1.0}, LE,
                          w * inst.delay_edge[i, j], name=f"dx_{i}_{j}")
     for i in range(M):
-        m.add_constr({lay.xi(i): 1.0, lay.sigma(i): inst.delay_cloud[i],
-                      lay.mu1(): -1.0, lay.zeta(i): 1.0}, LE,
-                     w * inst.delay_cloud[i], name=f"dx0_{i}")
+        m.add_constr({xi[i]: 1.0, sigma[i]: inst.delay_cloud[i], mu1: -1.0,
+                      zeta[i]: 1.0}, LE, w * inst.delay_cloud[i],
+                     name=f"dx0_{i}")
 
     obj: Dict[int, float] = {}
     for i in range(M):
-        obj[lay.xi(i)] = inst.demand[i, k]
-        obj[lay.tau(i)] = -float(inst.delay_cap[k])
+        obj[xi[i]] = inst.demand[i, k]
+        obj[tau[i]] = -float(inst.delay_cap[k])
         for j in range(N):
-            obj[lay.eta(i, j)] = -inst.demand[i, k] * inst.eligible[i, j, k]
+            obj[eta[i, j]] = -inst.demand[i, k] * inst.eligible[i, j, k]
     for j in range(N):
-        obj[lay.gamma(j)] = -inst.compute_cap[j] * ctx.placed[j]
-    obj[lay.mu2()] = -float(inst.budget[k])
+        obj[gamma[j]] = -inst.compute_cap[j] * ctx.placed[j]
+    obj[mu2] = -float(inst.budget[k])
     m.set_objective(obj)
-    return m
+    return m, ids
 
 
 _FAMILIES = ("demand balance", "procurement coverage", "capacity",
@@ -250,10 +204,11 @@ _FAMILY_OF_PREFIX = {"bal": "demand balance", "cov": "procurement coverage",
                      "ddef": "delay definition", "dcap": "delay cap"}
 
 
-def _diagnose_infeasibility(ctx: FollowerContext) -> str:
-    """Minimize total elastic violation and name the worst family."""
-    base = build_follower_lp(ctx)
-    m = LinearModel(name=f"follower{ctx.k}_elastic", sense="min")
+def _diagnose_infeasibility(base: LinearModel) -> str:
+    """Minimize the total elastic violation of the follower LP ``base``
+    and name the worst family. The elastic model's first columns are
+    ``base``'s, with the same ids."""
+    m = LinearModel(name=f"{base.name}_elastic", sense="min")
     for v in base.variables:
         m.add_var(v.name, v.lb, v.ub)
     slacks = []
@@ -291,11 +246,10 @@ def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution
     """
     inst, k = ctx.inst, ctx.k
     M, N = inst.num_aps, inst.num_ens
-    primal = build_follower_lp(ctx)
+    primal, cols = build_follower_lp(ctx)
     psol = lp_core.solve_lp(primal)
     if psol.status != lp_core.OPTIMAL:
-        raise FollowerInfeasibleError(k, _diagnose_infeasibility(ctx))
-    cols = FollowerColumns.follower_lp(M, N)
+        raise FollowerInfeasibleError(k, _diagnose_infeasibility(primal))
     x = psol.x
     fs = FollowerSolution(
         x_cloud=x[cols.x0],

@@ -367,6 +367,10 @@ def compare(oracle_res: OracleResult, milp_profit: Optional[float],
         passed = milp_status == lp_core.INFEASIBLE
         return ComparisonReport(None, milp_profit, None, passed, False,
                                 detail="oracle found no feasible candidate")
+    if milp_profit is None:
+        return ComparisonReport(oracle_res.profit, None, None, False, False,
+                                detail=f"MILP {milp_status} with no profit; "
+                                f"oracle profit {oracle_res.profit}")
     diff = abs(oracle_res.profit - milp_profit)
     passed = diff <= TOL.objective_match_rel * (1.0 + abs(oracle_res.profit))
     detail = "" if passed else (

@@ -9,13 +9,13 @@ import pytest
 
 from edgemarket import lp_core
 from edgemarket._milp_base import purchase_caps, zero_multipliers
-from edgemarket.follower import (DualLayout, FollowerColumns, FollowerContext,
+from edgemarket.follower import (FollowerContext,
                                  FollowerInfeasibleError,
                                  build_follower_dual, build_follower_lp,
                                  check_strong_duality,
                                  complementarity_residuals, dual_objective,
                                  solve_follower)
-from edgemarket.model import follower_cost
+from edgemarket.model import DualSolution, follower_cost
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
 from conftest import tight_budget, tiny_instance
@@ -31,7 +31,7 @@ def _ctx(seed=1, k=0, price=0.03, placed=1):
 def test_lp_dimensions_minimal_case():
     inst = tiny_instance(11, num_aps=1, num_ens=1, num_services=1)
     ctx = FollowerContext(inst, 0, [0.03], [1])
-    m = build_follower_lp(ctx)
+    m, _ = build_follower_lp(ctx)
     # x0, x, y0, y, da
     assert m.num_vars == 5
     # bal, cov0, cov, cap, elig, ddef, dcap, budget
@@ -146,12 +146,41 @@ def test_infeasibility_diagnosis_names_delay_cap():
 def test_dual_objective_matches_explicit_dual_lp():
     from edgemarket import lp_core
     ctx = _ctx(2)
-    dual = build_follower_dual(ctx)
+    dual, _ = build_follower_dual(ctx)
     dsol = lp_core.solve_lp(dual)
     fs, ds = solve_follower(ctx)
     assert dsol.status == lp_core.OPTIMAL
     assert dual_objective(ctx, ds) == pytest.approx(dsol.objective, abs=1e-7)
     assert fs.cost == pytest.approx(dsol.objective, abs=1e-6)
+
+
+@pytest.mark.parametrize("inst", [
+    tiny_instance(0), tiny_instance(2), tiny_instance(5),
+    sample_instance(ScenarioConfig(seed=0, num_aps=6, num_ens=3,
+                                   num_services=4))],
+    ids=["tiny0", "tiny2", "tiny5", "desk0"])
+def test_follower_ids_name_their_own_symbol_and_index(inst):
+    """Each id the follower LP and its explicit dual return names its own
+    symbol and index, every column is named once, and the dual's ids read
+    a solved point back as a ``DualSolution``."""
+    N, k = inst.num_ens, inst.num_services - 1
+    ctx = FollowerContext(inst, k, inst.price_grid[:, 1], np.ones(N))
+    lp, cols = build_follower_lp(ctx)
+    dual, ids = build_follower_dual(ctx)
+    assert list(ids) == [f.name for f in dataclasses.fields(DualSolution)]
+    lp_ids = {s: getattr(cols, s) for s in ("x0", "x", "y0", "y", "da")}
+    for model, by_symbol in ((lp, lp_ids), (dual, ids)):
+        seen = set()
+        for sym, vids in by_symbol.items():
+            for index, vid in np.ndenumerate(vids):
+                assert model.variables[vid].name == "_".join(
+                    [sym, *map(str, index)])
+                seen.add(vid)
+        assert seen == set(range(model.num_vars))
+    dsol = lp_core.solve_lp(dual)
+    assert dsol.status == lp_core.OPTIMAL
+    ds = DualSolution(**{n: dsol.x[ids[n]] for n in ids})
+    assert dual_objective(ctx, ds) == pytest.approx(dsol.objective, abs=1e-9)
 
 
 def test_context_rejects_wrong_shapes():
@@ -191,23 +220,22 @@ def test_zero_multiplier_bounds_are_exact():
     for inst, draws in _zero_multiplier_cases():
         M, N, K = inst.num_aps, inst.num_ens, inst.num_services
         mu2_zero, eta_zero, tau_zero = zero_multipliers(inst)
-        lay = DualLayout(M, N)
         for _ in range(draws):
             level = rng.integers(0, inst.num_price_levels, size=N)
             prices = inst.price_grid[np.arange(N), level]
             for k in range(K):
                 ctx = FollowerContext(inst, k, prices,
                                       rng.integers(0, 2, size=N))
-                primal = lp_core.solve_lp(build_follower_lp(ctx))
+                primal = lp_core.solve_lp(build_follower_lp(ctx)[0])
                 if primal.status != lp_core.OPTIMAL:
                     continue
-                dual = build_follower_dual(ctx)
-                fixed = [lay.eta(i, j) for i in range(M) for j in range(N)
+                dual, ids = build_follower_dual(ctx)
+                fixed = [ids["eta"][i, j] for i in range(M) for j in range(N)
                          if eta_zero[i, j, k]]
-                fixed += [lay.tau(i) for i in range(M) if tau_zero[i, k]]
+                fixed += [ids["tau"][i] for i in range(M) if tau_zero[i, k]]
                 fixed_tau += int(tau_zero[:, k].sum())
                 if mu2_zero[k]:
-                    fixed.append(lay.mu2())
+                    fixed.append(ids["mu2"])
                     fixed_mu2 += 1
                 for vid in fixed:
                     dual.add_constr({vid: 1.0}, lp_core.LE, 0.0)
@@ -235,8 +263,8 @@ def test_coverage_rows_are_tight_where_priced():
             for k in range(K):
                 ctx = FollowerContext(inst, k, prices,
                                       rng.integers(0, 2, size=N))
-                free = build_follower_lp(ctx)
-                tight = build_follower_lp(ctx)
+                free, _ = build_follower_lp(ctx)
+                tight, _ = build_follower_lp(ctx)
                 names = {f"cov0_{k}"} | {f"cov_{j}_{k}" for j in range(N)
                                          if prices[j] > 0}
                 for row in free.constraints:
@@ -255,12 +283,12 @@ def _largest_purchases(ctx):
     """{placed EN j: the most any optimal response at ``ctx`` buys from
     it}: the follower LP, its cost pinned at the optimum plus 1e-12, with
     ``y[j]`` maximized. Empty where the LP has no optimum."""
-    lp = build_follower_lp(ctx)
+    lp, cols = build_follower_lp(ctx)
     sol = lp_core.solve_lp(lp)
     if sol.status != lp_core.OPTIMAL:
         return {}
     lp.add_constr(lp.objective, lp_core.LE, sol.objective + 1e-12)
-    y = FollowerColumns.follower_lp(ctx.inst.num_aps, ctx.inst.num_ens).y
+    y = cols.y
     out = {}
     for j in np.flatnonzero(ctx.placed):
         lp.set_objective({y[j]: 1.0}, "max")

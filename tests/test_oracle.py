@@ -90,6 +90,10 @@ def test_compare_statuses():
     none = OracleResult(None, None, None, 4)
     assert compare(none, None, milp_status="infeasible").passed
     assert not compare(none, 1.0, milp_status="optimal").passed
+    for status in ("infeasible", "time-limit"):
+        rep = compare(res, None, milp_status=status)
+        assert not rep.passed and not rep.inconclusive
+        assert status in rep.detail and "1.0" in rep.detail
 
 
 def test_oracle_matches_p2_closely_on_tiny_seeds():
