@@ -1,13 +1,16 @@
 """Print one SHA-256 per compiled P1, P2 and follower model over a fixed
 suite.
 
-The suite is P1 and P2, each plain (``dyn``), with ``flat=True`` and with
-``fix_price_level=1``, on tiny seeds 0-39, desk seeds 0-4 (6x3x4) and
-base seeds 0-2 (the default size): 288 models. With them come every
-service's follower LP and explicit dual on each of those instances at two
-fixed contexts, ``low`` (every EN placed, at its lowest grid price) and
-``alt-top`` (ENs 0, 2, ... placed, every price at the top of the grid):
-396 models, 684 in all. Each hash covers what HiGHS is handed and how
+The suite is P1 and P2, each under the three pricing schemes ``dyn``,
+``flat`` and ``avg``, on tiny seeds 0-39, desk seeds 0-4 (6x3x4) and base
+seeds 0-2 (the default size): 288 models. A builder that takes
+``scheme=`` gets the scheme's name. An older one, which took ``flat`` and
+``fix_price_level`` instead, gets ``flat=True`` for ``flat`` and, for
+``avg``, the level of the grid mean, the level that scheme pins. With
+them come every service's follower LP and explicit dual on each of those
+instances at two fixed contexts, ``low`` (every EN placed, at its lowest
+grid price) and ``alt-top`` (ENs 0, 2, ... placed, every price at the
+top of the grid): 396 models, 684 in all. Each hash covers what HiGHS is handed and how
 the model names it: the objective sense and cost vector, the CSC matrix,
 the row and column bounds, the binary ids, and the variable and
 constraint names. A change that claims to leave
@@ -32,6 +35,7 @@ touched:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -92,6 +96,20 @@ def family_fingerprints(model) -> dict:
     return {name: d.hexdigest() for name, d in sorted(digests.items())}
 
 
+def scheme_kwargs(build, scheme: str, inst) -> dict:
+    """The keyword arguments that build ``scheme`` with ``build``."""
+    if "scheme" in inspect.signature(build).parameters:
+        return {"scheme": scheme}
+    if scheme == "flat":
+        return {"flat": True}
+    if scheme == "avg":
+        grid = inst.price_grid[0]
+        level = np.flatnonzero(np.isclose(grid, grid.mean(), rtol=0.0,
+                                          atol=1e-9))
+        return {"fix_price_level": int(level[0])}
+    return {}
+
+
 def main(argv) -> int:
     by_family = "--by-family" in argv
     argv = [a for a in argv if a != "--by-family"]
@@ -107,14 +125,12 @@ def main(argv) -> int:
         for family, digest in family_fingerprints(model).items():
             print(f"{name} {family} {digest}")
 
-    variants = (("dyn", {}), ("flat", {"flat": True}),
-                ("fixlvl1", {"fix_price_level": 1}))
     for label, inst in _instances(scenario):
         for method, build in (("p1", reform_kkt.build_p1),
                               ("p2", reform_dual.build_p2)):
-            for variant, kwargs in variants:
-                model, _ = build(inst, **kwargs)
-                show(f"{label}/{method}/{variant}", model)
+            for scheme in ("dyn", "flat", "avg"):
+                model, _ = build(inst, **scheme_kwargs(build, scheme, inst))
+                show(f"{label}/{method}/{scheme}", model)
         N = inst.num_ens
         contexts = (("low", inst.price_grid[:, 0], np.ones(N, dtype=int)),
                     ("alt-top", inst.price_grid[:, -1], np.arange(N) % 2 == 0))

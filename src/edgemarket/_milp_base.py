@@ -224,9 +224,26 @@ def purchase_caps(inst: Instance) -> np.ndarray:
     return np.where(pg > 0, np.minimum(cap, left), cap)
 
 
-def build_base(inst: Instance, m_lin: float, name: str,
-               flat: bool = False,
-               fix_price_level: Optional[int] = None,
+SCHEMES = ("dyn", "flat", "avg")
+
+
+def _avg_price_level(inst: Instance) -> int:
+    """Grid level whose price equals the column mean on every EN."""
+    levels = []
+    for j in range(inst.num_ens):
+        col = inst.price_grid[j]
+        mean = float(col.mean())
+        hits = np.nonzero(np.isclose(col, mean, rtol=0.0, atol=1e-9))[0]
+        if len(hits) != 1:
+            raise ValueError("avg scheme requires the grid mean to be a "
+                             f"unique grid point; EN {j} mean {mean} is not")
+        levels.append(int(hits[0]))
+    if len(set(levels)) != 1:
+        raise ValueError("avg scheme requires identical grids on all ENs")
+    return levels[0]
+
+
+def build_base(inst: Instance, m_lin: float, name: str, scheme: str = "dyn",
                ) -> Tuple[LinearModel, MilpLayout, SimpleNamespace]:
     """Leader block, follower primal feasibility, product linearizations
     and the dual-side revenue row ``revdef`` common to P1 and P2. The
@@ -258,10 +275,13 @@ def build_base(inst: Instance, m_lin: float, name: str,
     and implies the McCormick rows ``pi <= mu2`` and
     ``mu2 - pi <= mu2_max (1 - r)``, which are not written.
 
-    ``flat`` links the price-selection rows across ENs;
-    ``fix_price_level`` pins every EN to one grid level. Both are used by
-    the pricing-scheme harness, not by the plain builders.
+    ``scheme``, one of ``SCHEMES``, is the leader's pricing: ``dyn`` adds
+    no row; ``flat`` the ``flat_*`` rows, giving every EN the level of EN
+    0 on identical grids; ``avg`` the ``fixlvl_*`` rows, pinning every EN
+    to the level of the grid mean. Any other name raises ``ValueError``.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
     bounds = multiplier_bounds(inst, m_lin)
     mu2_max, gamma_max, _ = bounds
@@ -317,17 +337,17 @@ def build_base(inst: Instance, m_lin: float, name: str,
         m.add_constr(coeffs, LE, 0.0, name=f"storage_{j}")
     for j in range(N):
         m.add_constr(dict.fromkeys(r[j], 1.0), EQ, 1.0, name=f"onehot_{j}")
-    if flat:
+    if scheme == "flat":
         if not np.allclose(inst.price_grid, inst.price_grid[0][None, :]):
             raise ValueError("flat pricing requires identical grids on all ENs")
         for j in range(1, N):
             for v in range(V):
                 m.add_constr({r[j][v]: 1.0, r[0][v]: -1.0}, EQ, 0.0,
                              name=f"flat_{j}_{v}")
-    if fix_price_level is not None:
+    elif scheme == "avg":
+        level = _avg_price_level(inst)
         for j in range(N):
-            m.add_constr({r[j][fix_price_level]: 1.0}, EQ, 1.0,
-                         name=f"fixlvl_{j}")
+            m.add_constr({r[j][level]: 1.0}, EQ, 1.0, name=f"fixlvl_{j}")
 
     # Per-service primal feasibility; the budget row uses the revenue
     # variable in place of the bilinear price*procurement term.

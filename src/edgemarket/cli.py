@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 infeasible, 3 gap/time limit hit, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -14,8 +15,9 @@ import sys
 from pathlib import Path
 
 from . import lp_core
-from .harness import (AXES, SCHEMES, SchemeSpec, run_scheme,
-                      run_sensitivity_sweep, run_timing_benchmark)
+from ._milp_base import SCHEMES
+from .harness import (AXES, SchemeSpec, run_scheme, run_sensitivity_sweep,
+                      run_timing_benchmark)
 from .lp_core import MilpConfig, export_mps, import_solution
 from .model import Instance, validate_instance
 from .reform_dual import build_p2
@@ -170,17 +172,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_bench(args) -> int:
     rows = run_timing_benchmark(BENCH_GRIDS[args.grid],
                                 time_limit=args.time_limit)
-    writer = csv.writer(sys.stdout)
     header = ["M", "N", "K", "method", "wall_time", "status"]
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row[h] for h in header])
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([row[h] for h in header])
+    table = [header] + [[row[h] for h in header] for row in rows]
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext()) as out:
+        for sink in (sys.stdout, out) if out else (sys.stdout,):
+            csv.writer(sink).writerows(table)
     return EXIT_OK
 
 

@@ -1,5 +1,7 @@
 """Experiment engine: pricing-scheme comparison, sensitivity sweeps over
-scaling factors, and timing benchmarks, with CSV and JSON artifacts."""
+scaling factors, and timing benchmarks, with CSV and JSON artifacts. A
+scheme name goes to ``solve_p1`` and ``solve_p2`` as it is;
+``_milp_base.build_base`` writes its rows."""
 
 from __future__ import annotations
 
@@ -9,11 +11,10 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import lp_core
+from ._milp_base import SCHEMES
 from .analytic import solve_single_en
 from .lp_core import MilpConfig
 from .model import Instance, ScalingFactors, scale_instance
@@ -22,7 +23,6 @@ from .reform_dual import solve_p2, verify_bilevel_optimality
 from .reform_kkt import solve_p1
 from .scenario import ScenarioConfig, sample_instance
 
-SCHEMES = ("dyn", "flat", "avg")
 METHODS = ("kkt", "dual", "oracle", "single-en")
 AXES = ("rho", "lambda", "delta", "gamma0", "m", "k")
 
@@ -64,22 +64,6 @@ class SolveReport:
         return json.dumps(dataclasses.asdict(self), indent=indent)
 
 
-def _avg_price_level(inst: Instance) -> int:
-    """Grid level whose price equals the column mean on every EN."""
-    levels = []
-    for j in range(inst.num_ens):
-        col = inst.price_grid[j]
-        mean = float(col.mean())
-        hits = np.nonzero(np.isclose(col, mean, rtol=0.0, atol=1e-9))[0]
-        if len(hits) != 1:
-            raise ValueError("avg scheme requires the grid mean to be a "
-                             f"unique grid point; EN {j} mean {mean} is not")
-        levels.append(int(hits[0]))
-    if len(set(levels)) != 1:
-        raise ValueError("avg scheme requires identical grids on all ENs")
-    return levels[0]
-
-
 def run_scheme(inst: Instance, spec: SchemeSpec,
                config: Optional[MilpConfig] = None):
     """Solve one instance under one pricing scheme.
@@ -88,8 +72,6 @@ def run_scheme(inst: Instance, spec: SchemeSpec,
     (LeaderDecision, followers) pair when available.
     """
     config = config or MilpConfig(backend="highs")
-    flat = spec.scheme == "flat"
-    fix_level = _avg_price_level(inst) if spec.scheme == "avg" else None
     t0 = time.perf_counter()
     if spec.method == "oracle":
         res = brute_force_bilevel(inst, keep_log=False)
@@ -106,7 +88,7 @@ def run_scheme(inst: Instance, spec: SchemeSpec,
         return res.profit, (res, res.followers), report
 
     solver = solve_p1 if spec.method == "kkt" else solve_p2
-    res = solver(inst, config, flat=flat, fix_price_level=fix_level)
+    res = solver(inst, config, spec.scheme)
     wall = time.perf_counter() - t0
     certified = None
     if res.leader is not None:

@@ -29,8 +29,7 @@ from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
 from .tolerances import TOL
 
 
-def build_p2(inst: Instance, m_lin: float = M_LIN,
-             flat: bool = False, fix_price_level: Optional[int] = None,
+def build_p2(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
              ) -> Tuple[LinearModel, MilpLayout]:
     """Leader block plus, per service: primal feasibility, dual
     feasibility and strong duality, the ``revdef`` row of ``build_base``
@@ -39,9 +38,9 @@ def build_p2(inst: Instance, m_lin: float = M_LIN,
 
     ``m_lin`` is the multiplier scale of ``multiplier_bounds``; it sizes
     only the ``r * mu2`` and ``t * Gamma`` product rows of
-    ``build_base``."""
-    m, lay, ids = build_base(inst, m_lin, "p2", flat=flat,
-                             fix_price_level=fix_price_level)
+    ``build_base``. ``scheme`` is the pricing scheme whose rows
+    ``build_base`` writes: ``dyn``, ``flat`` or ``avg``."""
+    m, lay, ids = build_base(inst, m_lin, "p2", scheme)
     for k in range(inst.num_services):
         # Dual feasibility; p(1+mu2) expanded over the one-hot selection.
         add_dual_rows(m, inst, ids, k, LE)
@@ -96,15 +95,13 @@ def verify_bilevel_optimality(inst: Instance, ld: LeaderDecision,
 
 
 def solve_p2(inst: Instance, config: Optional[MilpConfig] = None,
-             flat: bool = False,
-             fix_price_level: Optional[int] = None) -> ReformResult:
-    """Solve P2 through solve_reformulation, which raises only the
-    multiplier scale of the product rows when ``validate_bigM`` flags a
-    bound. ``config.time_limit`` bounds the whole call, escalations
-    included."""
+             scheme: str = "dyn") -> ReformResult:
+    """Solve P2 under the pricing ``scheme`` of ``build_base`` through
+    solve_reformulation, which raises only the multiplier scale of the
+    product rows when ``validate_bigM`` flags a bound.
+    ``config.time_limit`` bounds the whole call, escalations included."""
     return solve_reformulation(
-        lambda m_lin: build_p2(inst, m_lin, flat=flat,
-                               fix_price_level=fix_price_level),
+        lambda m_lin: build_p2(inst, m_lin, scheme),
         lambda lay, sol: extract_solution_p2(inst, lay, sol),
         lambda lay, sol, m_lin: validate_bigM(inst, lay, sol, m_lin),
         config)

@@ -57,8 +57,7 @@ def _add_pair(m: LinearModel, lay: MilpLayout, family: str, index: str,
     lay.pairs.append((s, mult))
 
 
-def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
-             fix_price_level: Optional[int] = None,
+def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
              ) -> Tuple[LinearModel, MilpLayout]:
     """Single MILP whose feasible points are exactly the leader decisions
     paired with follower-optimal responses (certified by KKT).
@@ -87,11 +86,11 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, flat: bool = False,
     larger. The pairs are written either way, so the binary count
     stays ``2K(M+1)(N+1)`` and HiGHS's presolve removes the pairs a
     bound of 0 settles. P2 leaves tau unbounded: its models are
-    unchanged by the delay-cap proof.
+    unchanged by the delay-cap proof. ``scheme`` is the pricing scheme
+    whose rows ``build_base`` writes: ``dyn``, ``flat`` or ``avg``.
     """
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
-    m, lay, ids = build_base(inst, m_lin, "p1", flat=flat,
-                             fix_price_level=fix_price_level)
+    m, lay, ids = build_base(inst, m_lin, "p1", scheme)
     mu2_max, unit_max, tau_max = ids.bounds
     mu2_zero, eta_zero, tau_zero = ids.mu2_zero, ids.eta_zero, ids.tau_zero
     delay_max = float(inst.delay_cap.max(initial=0.0))
@@ -154,13 +153,12 @@ def extract_solution_p1(inst: Instance, lay: MilpLayout, sol: MilpSolution,
 
 
 def solve_p1(inst: Instance, config: Optional[MilpConfig] = None,
-             flat: bool = False,
-             fix_price_level: Optional[int] = None) -> ReformResult:
-    """Solve P1 through solve_reformulation. ``config.time_limit`` bounds
-    the whole call, escalations included."""
+             scheme: str = "dyn") -> ReformResult:
+    """Solve P1 under the pricing ``scheme`` of ``build_base`` through
+    solve_reformulation. ``config.time_limit`` bounds the whole call,
+    escalations included."""
     return solve_reformulation(
-        lambda m_lin: build_p1(inst, m_lin, flat=flat,
-                               fix_price_level=fix_price_level),
+        lambda m_lin: build_p1(inst, m_lin, scheme),
         lambda lay, sol: extract_solution_p1(inst, lay, sol),
         lambda lay, sol, m_lin: validate_bigM(inst, lay, sol, m_lin),
         config)

@@ -92,12 +92,10 @@ def desk_runs():
     runs = {}
     for seed in _first_feasible_desk_seeds(5):
         inst = sample_instance(ScenarioConfig(seed=seed, **DESK_SIZE))
-        level = int(np.flatnonzero(np.isclose(
-            inst.price_grid[0], inst.price_grid[0].mean()))[0])
         runs[seed] = (inst,
                       solve_p2(inst, DESK_CFG),
-                      solve_p2(inst, DESK_CFG, flat=True),
-                      solve_p2(inst, DESK_CFG, fix_price_level=level))
+                      solve_p2(inst, DESK_CFG, scheme="flat"),
+                      solve_p2(inst, DESK_CFG, scheme="avg"))
     return runs
 
 

@@ -1,13 +1,16 @@
 """Randomized differential test: on random tiny instances P1/HiGHS,
 P2/HiGHS and the brute-force oracle find the same optimum, or all three
-find the instance infeasible."""
+find the instance infeasible. Under the ``flat`` and ``avg`` pricing
+schemes the reference is the best of the oracle's candidates the scheme
+allows."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from edgemarket._milp_base import zero_multipliers
 from edgemarket.lp_core import MilpConfig
-from edgemarket.oracle import brute_force_bilevel
+from edgemarket.oracle import OracleResult, brute_force_bilevel
 from edgemarket.reform_dual import solve_p2
 from edgemarket.reform_kkt import solve_p1
 from edgemarket.tolerances import TOL
@@ -76,3 +79,32 @@ def test_unproven_budget_multipliers_match_oracle(seed):
                           (solve_p2, MilpConfig(backend="bnb"))):
         _assert_matches(solve(inst, config), oracle,
                         (solve.__name__, config.backend))
+
+
+def _scheme_allows(inst, scheme):
+    """Whether ``scheme`` lets the leader pick a price-level vector: one
+    shared level under ``flat``, the level of the grid mean on every EN
+    under ``avg``."""
+    if scheme == "flat":
+        return lambda levels: len(set(levels)) == 1
+    grid = inst.price_grid[0]
+    (mean_level,) = np.flatnonzero(np.isclose(grid, grid.mean()))
+    return lambda levels: set(levels) == {mean_level}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_restricted_schemes_match_oracle(seed):
+    """Under ``flat`` and ``avg``, P1 and P2 on both backends find the
+    best profit of the oracle's candidates the scheme allows, or find the
+    instance infeasible when it allows no feasible candidate."""
+    inst = tiny_instance(seed)
+    log = brute_force_bilevel(inst).log
+    for scheme in ("flat", "avg"):
+        allows = _scheme_allows(inst, scheme)
+        profits = [entry["profit"] for entry in log
+                   if "profit" in entry and allows(entry["levels"])]
+        oracle = OracleResult(max(profits, default=None), None, None, 0)
+        for solve in (solve_p1, solve_p2):
+            for backend in ("highs", "bnb"):
+                res = solve(inst, MilpConfig(backend=backend), scheme=scheme)
+                _assert_matches(res, oracle, (scheme, solve.__name__, backend))

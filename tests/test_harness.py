@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from edgemarket import cli
 from edgemarket.cli import main
 from edgemarket.harness import (SchemeSpec, run_scheme,
                                 run_sensitivity_sweep, run_timing_benchmark)
@@ -126,6 +127,24 @@ def test_timing_benchmark_rows():
 
 
 # -- CLI ---------------------------------------------------------------
+
+
+def test_cli_bench_writes_one_csv_to_stdout_and_out(tmp_path, capsys,
+                                                   monkeypatch):
+    rows = [{"M": 2, "N": 2, "K": 2, "method": "kkt", "wall_time": 0.5,
+             "status": "optimal"},
+            {"M": 2, "N": 2, "K": 2, "method": "dual", "wall_time": "NA",
+             "status": "time-limit"}]
+    monkeypatch.setattr(cli, "run_timing_benchmark",
+                        lambda grid, time_limit: rows)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_bytes().decode("utf-8")
+    assert list(csv.reader(printed.splitlines())) == [
+        ["M", "N", "K", "method", "wall_time", "status"],
+        ["2", "2", "2", "kkt", "0.5", "optimal"],
+        ["2", "2", "2", "dual", "NA", "time-limit"]]
 
 
 def _gen(tmp_path, name="inst.json", m=2, n=1, k=1):

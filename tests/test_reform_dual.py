@@ -14,7 +14,8 @@ from edgemarket._milp_base import (MAX_ESCALATIONS, M_LIN, IntegrityError,
                                    extract_solution, multiplier_bounds,
                                    purchase_caps)
 from edgemarket.lp_core import LE, MilpConfig, MilpSolution, solve_lp
-from edgemarket.model import leader_profit, validate_instance
+from edgemarket.model import (FollowerSolution, LeaderDecision,
+                              leader_profit, validate_instance)
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import (build_p2, solve_p2,
                                     verify_bilevel_optimality)
@@ -160,6 +161,32 @@ def test_certification_fails_for_wrong_allocation():
     assert not rep.passed
 
 
+def test_certification_reports_an_infeasible_follower():
+    # The strict delay-cap instance of
+    # test_infeasibility_diagnosis_names_delay_cap: no leader decision
+    # leaves its followers a feasible allocation.
+    inst = tiny_instance(6, demand_range=(80.0, 90.0))
+    strict = dataclasses.replace(
+        inst, delay_cap=np.full(inst.num_services, 50.0),
+        eligible=np.zeros_like(inst.eligible))
+    N, M, K = strict.num_ens, strict.num_aps, strict.num_services
+    ld = LeaderDecision(price_level=np.ones(N), price=strict.price_grid[:, 1],
+                        active=np.ones(N), placed=np.ones((N, K)))
+    claimed = [FollowerSolution(np.zeros(M), np.zeros((M, N)), 0.0,
+                                np.zeros(N), np.zeros(M), 0.0)
+               for _ in range(K)]
+    rep = verify_bilevel_optimality(strict, ld, claimed)
+    assert rep.passed is False
+    assert np.isnan(rep.cost_resolved[0])
+    assert rep.rel_diffs[0] == float("inf")
+    assert "delay cap" in rep.notes[0]
+
+
+def test_unknown_scheme_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        solve_p2(tiny_instance(0), scheme="bogus")
+
+
 def test_extracted_profit_recomputes():
     inst = tiny_instance(4)
     res = solve_p2(inst, CFG)
@@ -170,8 +197,8 @@ def test_extracted_profit_recomputes():
 def test_scheme_restrictions_nest():
     inst = tiny_instance(0)
     dyn = solve_p2(inst, CFG)
-    flat = solve_p2(inst, CFG, flat=True)
-    fixed = solve_p2(inst, CFG, fix_price_level=1)
+    flat = solve_p2(inst, CFG, scheme="flat")
+    fixed = solve_p2(inst, CFG, scheme="avg")
     assert dyn.objective >= flat.objective - 1e-9
     assert flat.objective >= fixed.objective - 1e-9
     assert np.all(fixed.leader.price_level == 1)

@@ -279,7 +279,7 @@ def test_validate_bigm_flags_small_constants():
 
 def test_flat_scheme_forces_uniform_price():
     inst = tiny_instance(0)
-    res = solve_p1(inst, CFG, flat=True)
+    res = solve_p1(inst, CFG, scheme="flat")
     assert res.status == "optimal"
     assert len(set(res.leader.price_level.tolist())) == 1
     free = solve_p1(inst, CFG)
@@ -288,7 +288,7 @@ def test_flat_scheme_forces_uniform_price():
 
 def test_fixed_price_level_is_respected():
     inst = tiny_instance(0)
-    res = solve_p1(inst, CFG, fix_price_level=1)
+    res = solve_p1(inst, CFG, scheme="avg")
     assert res.status == "optimal"
     assert np.all(res.leader.price_level == 1)
 
