@@ -3,25 +3,23 @@ suite.
 
 The suite is P1 and P2, each under the three pricing schemes ``dyn``,
 ``flat`` and ``avg``, on tiny seeds 0-39, desk seeds 0-4 (6x3x4) and base
-seeds 0-2 (the default size): 288 models. A builder that takes
-``scheme=`` gets the scheme's name. An older one, which took ``flat`` and
-``fix_price_level`` instead, gets ``flat=True`` for ``flat`` and, for
-``avg``, the level of the grid mean, the level that scheme pins. With
-them come every service's follower LP and explicit dual on each of those
-instances at two fixed contexts, ``low`` (every EN placed, at its lowest
-grid price) and ``alt-top`` (ENs 0, 2, ... placed, every price at the
-top of the grid): 396 models, 684 in all. Each hash covers what HiGHS is handed and how
-the model names it: the objective sense and cost vector, the CSC matrix,
-the row and column bounds, the binary ids, and the variable and
-constraint names. A change that claims to leave
-every model unchanged prints the same lines as its parent:
+seeds 0-2 (the default size): 288 models. With them come every
+service's follower LP and explicit dual on each of those instances at
+two fixed contexts, ``low`` (every EN placed, at its lowest grid price)
+and ``alt-top`` (ENs 0, 2, ... placed, every price at the top of the
+grid): 396 models, 684 in all. Each hash covers what HiGHS is handed and
+how the model names it: the objective sense and cost vector, the CSC
+matrix, the row and column bounds, the binary ids, and the variable and
+constraint names. A change that claims to leave every model unchanged
+prints the same lines as its parent:
 
     python3 scripts/model_fingerprint.py > after.txt
     python3 scripts/model_fingerprint.py /path/to/parent/src > before.txt
     diff before.txt after.txt
 
 The optional argument is the ``src`` directory of the checkout to load
-``edgemarket`` from; by default it is this repository's own ``src``.
+``edgemarket`` from; by default it is this repository's own ``src``. That
+checkout's builders must take ``scheme=`` and return ``(model, ids)``.
 
 ``--by-family`` prints one hash per row family of each model instead,
 the family being a row name's prefix before its first ``_`` (``hub1``,
@@ -35,7 +33,6 @@ touched:
 from __future__ import annotations
 
 import hashlib
-import inspect
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -96,20 +93,6 @@ def family_fingerprints(model) -> dict:
     return {name: d.hexdigest() for name, d in sorted(digests.items())}
 
 
-def scheme_kwargs(build, scheme: str, inst) -> dict:
-    """The keyword arguments that build ``scheme`` with ``build``."""
-    if "scheme" in inspect.signature(build).parameters:
-        return {"scheme": scheme}
-    if scheme == "flat":
-        return {"flat": True}
-    if scheme == "avg":
-        grid = inst.price_grid[0]
-        level = np.flatnonzero(np.isclose(grid, grid.mean(), rtol=0.0,
-                                          atol=1e-9))
-        return {"fix_price_level": int(level[0])}
-    return {}
-
-
 def main(argv) -> int:
     by_family = "--by-family" in argv
     argv = [a for a in argv if a != "--by-family"]
@@ -129,7 +112,7 @@ def main(argv) -> int:
         for method, build in (("p1", reform_kkt.build_p1),
                               ("p2", reform_dual.build_p2)):
             for scheme in ("dyn", "flat", "avg"):
-                model, _ = build(inst, **scheme_kwargs(build, scheme, inst))
+                model, _ = build(inst, scheme=scheme)
                 show(f"{label}/{method}/{scheme}", model)
         N = inst.num_ens
         contexts = (("low", inst.price_grid[:, 0], np.ones(N, dtype=int)),
@@ -139,10 +122,7 @@ def main(argv) -> int:
                 ctx = follower.FollowerContext(inst, k, prices, placed)
                 for kind, build in (("lp", follower.build_follower_lp),
                                     ("dual", follower.build_follower_dual)):
-                    # The builders return the model alone in older
-                    # checkouts and (model, ids) since.
-                    built = build(ctx)
-                    model = built[0] if isinstance(built, tuple) else built
+                    model, _ = build(ctx)
                     show(f"{label}/follower{k}/{ctx_name}/{kind}", model)
     return 0
 

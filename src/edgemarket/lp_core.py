@@ -104,7 +104,9 @@ def _first_bad(mask: np.ndarray) -> Optional[int]:
 
 def _compile(m: "LinearModel") -> _Compiled:
     """Arrays of ``m``; raises ValueError on dangling ids, non-finite
-    coefficients or right-hand sides, and binaries outside [0, 1]."""
+    coefficients or right-hand sides, a column bound that is NaN, a lower
+    bound of +inf or an upper bound of -inf, and binaries outside
+    [0, 1]."""
     n, rows = m.num_vars, m.constraints
     lens = np.fromiter((len(c.coeffs) for c in rows), np.int64, len(rows))
     nnz = int(lens.sum())
@@ -138,6 +140,11 @@ def _compile(m: "LinearModel") -> _Compiled:
     col_lo = np.fromiter((v.lb for v in m.variables), float, n)
     col_hi = np.fromiter((v.ub for v in m.variables), float, n)
     binary = np.fromiter((v.binary for v in m.variables), bool, n)
+    bad = _first_bad(np.isnan(col_lo) | np.isnan(col_hi)
+                     | (col_lo == math.inf) | (col_hi == -math.inf))
+    if bad is not None:
+        raise ValueError(f"invalid bounds [{col_lo[bad]}, {col_hi[bad]}] on "
+                         f"variable {m.variables[bad].name}")
     bad = _first_bad(binary & ~((col_lo >= 0.0) & (col_hi <= 1.0)))
     if bad is not None:
         raise ValueError(f"binary variable {m.variables[bad].name} has "
@@ -256,7 +263,8 @@ class LinearModel:
         return self._compiled
 
     def validate(self):
-        """Raise ValueError on dangling ids or non-finite coefficients."""
+        """Raise ValueError on dangling ids, non-finite coefficients or
+        invalid column bounds."""
         self._compiled_form()
 
     def max_violation(self, x: np.ndarray) -> float:
@@ -845,7 +853,10 @@ def mps_names(m: LinearModel) -> Tuple[List[str], List[str]]:
 
 
 def export_mps(m: LinearModel) -> str:
-    """Write ``m`` in fixed-format MPS (binaries inside INTORG/INTEND)."""
+    """Write ``m`` in fixed-format MPS (binaries inside INTORG/INTEND).
+    A binary on [0, 1] is written ``BV``; one with tightened bounds, such
+    as [1, 1], gets ``LO`` and ``UP`` bounds as a continuous column does,
+    so an external solver reads the same model."""
     m.validate()
     var_names, row_names = mps_names(m)
     lines = [f"NAME          {m.name[:8].upper() or 'MODEL'}"]
@@ -882,7 +893,7 @@ def export_mps(m: LinearModel) -> str:
     lines.append("BOUNDS")
     for v in m.variables:
         name = var_names[v.vid]
-        if v.binary:
+        if v.binary and (v.lb, v.ub) == (0.0, 1.0):
             lines.append(f" BV BND       {name}")
             continue
         if v.lb == -math.inf and v.ub == math.inf:

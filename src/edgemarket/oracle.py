@@ -137,8 +137,12 @@ class _SecondStage:
     """Among follower-optimal responses, the profile that maximizes the
     leader's revenue minus utilization cost, subject to the shared EN
     capacity, as one LP per instance. Each purchase ``y[j,k]`` is split
-    over the per-level columns ``yv[j,k,v]`` (rows ``split_j_k``), which
+    over the per-level columns ``yv[j,v,k]`` (rows ``split_j_k``), which
     carry the prices in the budget and pin rows and in the objective.
+    The columns are ``add_vars`` blocks, symbol by symbol and within a
+    symbol service by service; ``x0``, ``x``, ``y0``, ``y``, ``yv`` and
+    ``cost`` hold their ids, one array per symbol with the service index
+    last, as ``_milp_base.MilpLayout`` does.
 
     A leader decision enters only through column bounds: the price
     vector fixes the unpicked levels' columns at 0; ``y[j,k]`` is capped
@@ -154,77 +158,60 @@ class _SecondStage:
         V = inst.num_price_levels
         self.inst = inst
         m = self.lp = LinearModel(name="second_stage", sense="max")
-        x0 = {(i, k): m.add_var(f"x0_{i}_{k}") for k in range(K) for i in range(M)}
-        x = {(i, j, k): m.add_var(f"x_{i}_{j}_{k}")
-             for k in range(K) for i in range(M) for j in range(N)}
-        y0 = {k: m.add_var(f"y0_{k}") for k in range(K)}
-        y = {(j, k): m.add_var(f"y_{j}_{k}", ub=inst.compute_cap[j])
-             for k in range(K) for j in range(N)}
-        yv = {(j, k, v): m.add_var(f"yv_{j}_{k}_{v}")
-              for k in range(K) for j in range(N) for v in range(V)}
-        cost_col = [m.add_var(f"cost_{k}", lb=-math.inf) for k in range(K)]
 
+        def block(prefix: str, shape: tuple, lb: float = 0.0) -> np.ndarray:
+            """One ``add_vars`` block per service, in service order; their
+            ids with the service index last."""
+            return np.stack([m.add_vars(prefix, shape, f"_{k}", lb)
+                             for k in range(K)], axis=-1)
+
+        self.x0, self.x = block("x0", (M,)), block("x", (M, N))
+        self.y0, self.y = block("y0", ()), block("y", (N,))
+        self.yv, self.cost = block("yv", (N, V)), block("cost", (), -math.inf)
+
+        grid = inst.price_grid.ravel().tolist()
+        minus_util = (-inst.variable_cost / inst.compute_cap).tolist()
+        obj: Dict[int, float] = {}
         for k in range(K):
-            w = inst.delay_weight[k]
-            spend = {yv[j, k, v]: inst.price_grid[j, v]
-                     for j in range(N) for v in range(V)}
+            x0, x = self.x0[:, k].tolist(), self.x[..., k].tolist()
+            y0, y, yv = int(self.y0[k]), self.y[:, k].tolist(), self.yv[..., k]
+            spend = dict(zip(yv.ravel().tolist(), grid))
             for j in range(N):
-                coeffs = {yv[j, k, v]: -1.0 for v in range(V)}
-                coeffs[y[j, k]] = 1.0
-                m.add_constr(coeffs, EQ, 0.0, name=f"split_{j}_{k}")
+                m.add_constr({**dict.fromkeys(yv[j].tolist(), -1.0),
+                              y[j]: 1.0}, EQ, 0.0, name=f"split_{j}_{k}")
             for i in range(M):
-                coeffs = {x0[i, k]: 1.0}
-                for j in range(N):
-                    coeffs[x[i, j, k]] = 1.0
-                m.add_constr(coeffs, EQ, inst.demand[i, k], name=f"bal_{i}_{k}")
-            coeffs = {x0[i, k]: 1.0 for i in range(M)}
-            coeffs[y0[k]] = -1.0
-            m.add_constr(coeffs, LE, 0.0, name=f"cov0_{k}")
+                m.add_constr({x0[i]: 1.0, **dict.fromkeys(x[i], 1.0)}, EQ,
+                             inst.demand[i, k], name=f"bal_{i}_{k}")
+            m.add_constr({**dict.fromkeys(x0, 1.0), y0: -1.0}, LE, 0.0,
+                         name=f"cov0_{k}")
             for j in range(N):
-                coeffs = {x[i, j, k]: 1.0 for i in range(M)}
-                coeffs[y[j, k]] = -1.0
-                m.add_constr(coeffs, LE, 0.0, name=f"cov_{j}_{k}")
+                m.add_constr({**dict.fromkeys([row[j] for row in x], 1.0),
+                              y[j]: -1.0}, LE, 0.0, name=f"cov_{j}_{k}")
             for i in range(M):
                 for j in range(N):
-                    m.add_constr({x[i, j, k]: 1.0}, LE,
+                    m.add_constr({x[i][j]: 1.0}, LE,
                                  inst.eligible[i, j, k] * inst.demand[i, k],
                                  name=f"elig_{i}_{j}_{k}")
-            m.add_constr({y0[k]: inst.cloud_price, **spend}, LE,
-                         inst.budget[k], name=f"budget_{k}")
-            for i in range(M):
-                if inst.demand[i, k] <= 0:
-                    continue
-                coeffs = {x0[i, k]: inst.delay_cloud[i]}
-                for j in range(N):
-                    coeffs[x[i, j, k]] = inst.delay_edge[i, j]
-                m.add_constr(coeffs, LE,
+            m.add_constr({y0: inst.cloud_price, **spend}, LE, inst.budget[k],
+                         name=f"budget_{k}")
+            for i in np.flatnonzero(inst.demand[:, k] > 0).tolist():
+                m.add_constr({x0[i]: inst.delay_cloud[i],
+                              **dict(zip(x[i], inst.delay_edge[i]))}, LE,
                              inst.delay_cap[k] * inst.demand[i, k],
                              name=f"dcap_{i}_{k}")
-            cost = {y0[k]: inst.cloud_price, **spend, cost_col[k]: -1.0}
+            w = inst.delay_weight[k]
+            pin = {y0: inst.cloud_price, **spend, int(self.cost[k]): -1.0}
             for i in range(M):
-                cost[x0[i, k]] = w * inst.delay_cloud[i]
-                for j in range(N):
-                    cost[x[i, j, k]] = w * inst.delay_edge[i, j]
-            m.add_constr(cost, LE, 0.0, name=f"pin_{k}")
+                pin[x0[i]] = w * inst.delay_cloud[i]
+                pin.update(zip(x[i], w * inst.delay_edge[i]))
+            m.add_constr(pin, LE, 0.0, name=f"pin_{k}")
+            obj.update(spend)
+            obj.update((vid, minus_util[j])
+                       for row in x for j, vid in enumerate(row))
         for j in range(N):
-            coeffs = {y[j, k]: 1.0 for k in range(K)}
-            m.add_constr(coeffs, LE, inst.compute_cap[j], name=f"encap_{j}")
-
-        obj = {vid: inst.price_grid[j, v] for (j, k, v), vid in yv.items()}
-        for k in range(K):
-            for i in range(M):
-                for j in range(N):
-                    obj[x[i, j, k]] = obj.get(x[i, j, k], 0.0) \
-                        - inst.variable_cost[j] / inst.compute_cap[j]
+            m.add_constr(dict.fromkeys(self.y[j].tolist(), 1.0), LE,
+                         inst.compute_cap[j], name=f"encap_{j}")
         m.set_objective(obj)
-        self.x0 = np.array([[x0[i, k] for k in range(K)] for i in range(M)])
-        self.x = np.array([[[x[i, j, k] for k in range(K)] for j in range(N)]
-                           for i in range(M)])
-        self.y0 = np.array([y0[k] for k in range(K)])
-        self.y = np.array([[y[j, k] for k in range(K)] for j in range(N)])
-        self.yv = np.array([[[yv[j, k, v] for k in range(K)] for v in range(V)]
-                            for j in range(N)])
-        self.cost_col = cost_col
 
     def solve(self, levels: tuple, placed: np.ndarray, opt_costs: List[float]
               ) -> Optional[Tuple[float, np.ndarray]]:
@@ -235,7 +222,7 @@ class _SecondStage:
         bounds.update({int(vid): (0.0, cap[j] * placed[j, k])
                        for (j, k), vid in np.ndenumerate(self.y)})
         bounds.update({vid: (-math.inf, c)
-                       for vid, c in zip(self.cost_col, opt_costs)})
+                       for vid, c in zip(self.cost.tolist(), opt_costs)})
         sol = lp_core.solve_lp(self.lp, bounds)
         if sol.status != lp_core.OPTIMAL:
             return None
@@ -295,55 +282,44 @@ def brute_force_bilevel(inst: Instance, max_candidates: int = 200_000,
                    float((inst.placement_cost * placed).sum()))
                   for z, t_flat, placed in _placements(inst)]
     log: List[dict] = []
-    best = None  # (profit, sort_key, LeaderDecision, followers)
+    best = None  # (profit, LeaderDecision, followers)
     examined = 0
-    follower = _FollowerCosts(inst)
+    follower, stage = _FollowerCosts(inst), _SecondStage(inst)
     # Second-stage result by (placement, levels of the hosting ENs).
     responses: Dict[tuple, Optional[Tuple[float, np.ndarray]]] = {}
-    stage = None
     for levels in itertools.product(range(V), repeat=N):
-        prices = np.array([inst.price_grid[j, levels[j]] for j in range(N)])
         for z, t_flat, placed, rows, hosts, z_cost, t_cost in placements:
             examined += 1
-            entry = {"levels": levels, "z": z, "t": t_flat}
-            opt_costs = []
-            infeasible = None
+            opt_costs, outcome = [], None
             for k in range(K):
                 cost = follower.cost(k, levels, rows[k])
                 if cost is None:
-                    infeasible = f"follower {k} infeasible"
+                    outcome = {"infeasible": f"follower {k} infeasible"}
                     break
                 opt_costs.append(cost)
-            if infeasible is None:
+            if outcome is None:
                 key = (t_flat, _levels_on(levels, hosts))
                 if key not in responses:
-                    if stage is None:
-                        stage = _SecondStage(inst)
                     responses[key] = stage.solve(levels, placed, opt_costs)
-                stage2 = responses[key]
-                if stage2 is None:
-                    infeasible = "no follower-optimal profile fits capacity"
-            if infeasible is not None:
-                entry["infeasible"] = infeasible
-                if keep_log:
-                    log.append(entry)
-                continue
-            net_revenue, x = stage2
-            profit = net_revenue - z_cost - t_cost
-            entry["profit"] = profit
+                if responses[key] is None:
+                    outcome = {"infeasible":
+                               "no follower-optimal profile fits capacity"}
+                else:
+                    net_revenue, x = responses[key]
+                    outcome = {"profit": net_revenue - z_cost - t_cost}
             if keep_log:
-                log.append(entry)
-            sort_key = (levels, z, t_flat)
-            if best is None or profit > best[0] + 1e-9 or (
-                    abs(profit - best[0]) <= 1e-9 and sort_key < best[1]):
+                log.append({"levels": levels, "z": z, "t": t_flat, **outcome})
+            # Candidates arrive in ascending (levels, z, t) order, so the
+            # first of a tie wins: a later candidate replaces the best only
+            # by beating its profit by more than 1e-9.
+            profit = outcome.get("profit")
+            if profit is not None and (best is None
+                                       or profit > best[0] + 1e-9):
                 ld = LeaderDecision(price_level=np.array(levels),
-                                    price=prices,
-                                    active=np.array(z),
-                                    placed=placed)
-                best = (profit, sort_key, ld, stage.followers(x, opt_costs))
-    if best is None:
-        return OracleResult(None, None, None, examined, log)
-    return OracleResult(best[0], best[2], best[3], examined, log)
+                                    price=inst.price_grid[range(N), levels],
+                                    active=np.array(z), placed=placed)
+                best = (profit, ld, stage.followers(x, opt_costs))
+    return OracleResult(*(best or (None, None, None)), examined, log)
 
 
 @dataclass

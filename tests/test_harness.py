@@ -194,6 +194,15 @@ def test_cli_missing_file_exit_4(tmp_path, capsys):
     assert rc == 4
 
 
+def test_cli_time_limit_hit_exit_3(tmp_path, capsys):
+    """A solve stopped by ``--time-limit`` exits 3 and reports the limit."""
+    path = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", "--instance", str(path), "--time-limit", "0"])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "time-limit"
+
+
 def test_cli_infeasible_exit_2(tmp_path, capsys):
     path = _gen(tmp_path)
     doc = json.loads(path.read_text())
@@ -204,30 +213,36 @@ def test_cli_infeasible_exit_2(tmp_path, capsys):
 
 
 def test_cli_mps_export_and_import(tmp_path, capsys):
-    path = _gen(tmp_path)
-    mps = tmp_path / "model.mps"
-    rc = main(["solve", "--instance", str(path), "--method", "dual",
-               "--mps-out", str(mps), "--solver", "external"])
-    assert rc == 0
-    text = mps.read_text()
-    assert text.startswith("NAME") and "ENDATA" in text
-
-    # solve embedded, then feed the values back through --import-solution
+    """Each MILP method's model goes out through ``--mps-out``, and its
+    embedded optimum comes back through ``--import-solution``."""
     from edgemarket.lp_core import mps_names, solve_milp
     from edgemarket.model import Instance
     from edgemarket.reform_dual import build_p2
+    from edgemarket.reform_kkt import build_p1
+    path = _gen(tmp_path)
     inst = Instance.from_json(path.read_text())
-    model, _ = build_p2(inst)
-    sol = solve_milp(model, CFG)
-    var_names, _ = mps_names(model)
-    sol_file = tmp_path / "model.sol"
-    sol_file.write_text("\n".join(f"{var_names[vid]} {val!r}"
-                                  for vid, val in enumerate(sol.x.tolist())))
-    rc = main(["solve", "--instance", str(path), "--method", "dual",
-               "--import-solution", str(sol_file)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "imported solution" in out
+    for method, build in (("dual", build_p2), ("kkt", build_p1)):
+        mps = tmp_path / f"{method}.mps"
+        rc = main(["solve", "--instance", str(path), "--method", method,
+                   "--mps-out", str(mps), "--solver", "external"])
+        assert rc == 0
+        text = mps.read_text()
+        assert text.startswith("NAME") and "ENDATA" in text
+
+        # solve embedded, then feed the values back through
+        # --import-solution
+        model, _ = build(inst)
+        sol = solve_milp(model, CFG)
+        var_names, _ = mps_names(model)
+        sol_file = tmp_path / f"{method}.sol"
+        sol_file.write_text("\n".join(
+            f"{var_names[vid]} {val!r}"
+            for vid, val in enumerate(sol.x.tolist())))
+        rc = main(["solve", "--instance", str(path), "--method", method,
+                   "--import-solution", str(sol_file)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "imported solution: status optimal" in out
 
 
 def test_cli_import_rejects_a_value_that_is_not_finite(tmp_path, capsys):

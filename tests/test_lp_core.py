@@ -526,6 +526,32 @@ def test_export_mps_bound_markers():
     assert " UP BND" in text
 
 
+def test_export_mps_keeps_tightened_binary_bounds(tmp_path):
+    """A binary fixed by its bounds, ``a`` at 1 and ``c`` at 0, stays fixed
+    for a separate HiGHS that reads only the MPS file: it finds
+    ``solve_milp``'s optimum, and its point imports as optimal."""
+    m = LinearModel(sense="max")
+    a = m.add_var("a", lb=1.0, binary=True)
+    b = m.add_var("b", binary=True)
+    c = m.add_var("c", ub=0.0, binary=True)
+    m.add_constr({a: 1.0, b: 1.0}, LE, 1.0)
+    m.set_objective({b: 1.0, c: 1.0})
+    ours = solve_milp(m)
+    assert (ours.status, ours.objective) == (OPTIMAL, 0.0)
+    path = tmp_path / "fixed.mps"
+    path.write_text(export_mps(m))
+    h = _highs._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == _highs.HighsStatus.kOk
+    h.run()
+    assert h.getModelStatus() == _highs.HighsModelStatus.kOptimal
+    assert h.getInfo().objective_function_value == 0.0
+    text = "\n".join(f"{name} {value!r}" for name, value in
+                     zip(h.getLp().col_names_, h.getSolution().col_value))
+    theirs = import_solution(m, text)
+    assert (theirs.status, theirs.objective) == (OPTIMAL, 0.0)
+
+
 def mixed_lp(rng, sense, n_vars=5, n_rows=6):
     """Random LP with <=, >= and = rows; some are infeasible or
     unbounded."""
@@ -690,3 +716,16 @@ def test_validate_rejects_non_finite_data():
     m.set_objective({a + 1: 1.0})
     with pytest.raises(ValueError, match="objective references unknown id"):
         solve_milp(m)
+    # A column bound that is NaN, a lower bound of +inf or an upper bound
+    # of -inf is named before HiGHS or the MPS writer sees it.
+    for lb, ub, call in ((math.nan, 1.0, LinearModel.validate),
+                         (0.0, math.nan, solve_lp),
+                         (math.inf, math.inf, export_mps),
+                         (-math.inf, -math.inf, solve_lp),
+                         (math.nan, 1.0, export_mps)):
+        m = LinearModel()
+        m.add_var("b")
+        m.add_var("a", lb=lb, ub=ub)
+        with pytest.raises(ValueError,
+                           match=r"invalid bounds \[.*\] on variable a$"):
+            call(m)

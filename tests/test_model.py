@@ -59,6 +59,21 @@ def test_validate_flags_each_violation_family():
     rep = validate_instance(dataclasses.replace(inst, demand=wrong))
     assert any("demand has shape" in v for v in rep.violations)
 
+    nan_delay = np.array(inst.delay_edge)
+    nan_delay[0, 0] = np.nan
+    eligible = np.array(inst.eligible)
+    eligible[0, 0, 0] = 2
+    for change, message in (
+            ({"delay_edge": nan_delay}, "delay_edge contains non-finite"),
+            ({"delay_edge": -inst.delay_edge}, "negative edge delay"),
+            ({"delay_cloud": -inst.delay_cloud}, "negative cloud delay"),
+            ({"cloud_price": 0.0}, "cloudPrice must be > 0"),
+            ({"delay_weight": -inst.delay_weight}, "negative delayWeight"),
+            ({"eligible": eligible}, "eligible entry not binary")):
+        rep = validate_instance(dataclasses.replace(inst, **change))
+        assert not rep.ok and any(message in v for v in rep.violations), \
+            (message, rep.violations)
+
 
 def test_scale_instance_applies_all_factors():
     inst = tiny_instance(4)
