@@ -1,15 +1,24 @@
 """Closed-form solver for the single-EN special case.
 
-With one EN, each service either buys from that EN or from the cloud,
-so its best response has a greedy closed form and the platform can just
-enumerate the price grid. Two regimes: an edge price at or below the
-cloud price attracts all workload (Case 1); a higher price attracts only
-APs whose delay saving beats the price premium, capped by the budget
-(Case 2).
+With one EN, a service's best response has a greedy closed form, so the
+platform enumerates every grid price and every set of services to place
+(2^K sets). A placed service answers greedily, an unplaced one with the
+all-cloud response; a set is playable when every response exists and
+the placed services fit within the EN's storage and capacity. Ties go to
+the first candidate in (grid price, set) order, sets in
+``itertools.product`` order as the oracle's placements: a later one wins
+only by more than ``_TOL``. A chosen price at or below the cloud price
+attracts all eligible workload (Case 1); a higher one only APs whose
+delay saving beats the premium, capped by the budget (Case 2).
+
+The greedy response is exact only where no delay cap or budget can bind
+against it; ``solve_single_en`` checks that scope on entry, from the
+data alone, and raises ``ValueError`` outside it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -36,13 +45,34 @@ def _require_single_en(inst: Instance):
         raise ValueError(f"analytic solver requires N=1, got {inst.num_ens}")
 
 
+def _require_greedy_scope(inst: Instance):
+    """Raise ValueError where a greedy response may not be the follower's
+    optimum: an AP with demand whose cloud or eligible EN delay misses
+    the service's delay cap, so that the cap may force a split; or a grid
+    price below the cloud price while some service cannot afford the
+    all-cloud response, so that the budget may force an offload."""
+    _require_single_en(inst)
+    misses = (inst.delay_cloud[:, None] > inst.delay_cap + _TOL) | (
+        (inst.eligible[:, 0, :] > 0)
+        & (inst.delay_edge[:, [0]] > inst.delay_cap + _TOL))
+    bad = np.argwhere((inst.demand > 0) & misses)
+    if bad.size:
+        i, k = bad[0]
+        raise ValueError(f"closed form out of scope: AP {i} misses the delay "
+                         f"cap of service {k} on the cloud or its EN")
+    broke = np.flatnonzero(inst.cloud_price * inst.demand.sum(axis=0)
+                           > inst.budget + _TOL)
+    if broke.size and np.any(inst.price_grid[0] < inst.cloud_price):
+        raise ValueError(f"closed form out of scope: service {broke[0]} "
+                         "cannot afford the cloud and a grid price is below it")
+
+
 def _cloud_solution(inst: Instance, k: int) -> Optional[FollowerSolution]:
-    """All-cloud response; None when even that violates budget or delay."""
+    """All-cloud response; None when it exceeds the budget. The scope
+    check has already refused a cloud delay above a delay cap."""
     R = inst.demand[:, k]
     total = float(R.sum())
     if inst.cloud_price * total > inst.budget[k] + _TOL:
-        return None
-    if np.any((R > 0) & (inst.delay_cloud > inst.delay_cap[k] + _TOL)):
         return None
     fs = FollowerSolution(
         x_cloud=R.copy(), x_edge=np.zeros((inst.num_aps, 1)),
@@ -61,7 +91,8 @@ def follower_best_response_single_en(inst: Instance, k: int, p1: float,
     The per-unit saving of moving AP i's workload to the EN is
     w*(d0_i - d1_i) - (p1 - p0); offloading strictly-positive savers in
     descending order, capped by the EN capacity and (when p1 > p0) by
-    the budget headroom, is the exact continuous-knapsack optimum.
+    the budget headroom, is the exact continuous-knapsack optimum within
+    the scope ``solve_single_en`` checks.
     """
     _require_single_en(inst)
     p0, w = inst.cloud_price, inst.delay_weight[k]
@@ -106,80 +137,46 @@ def follower_best_response_single_en(inst: Instance, k: int, p1: float,
     return fs
 
 
-def _evaluate_price(inst: Instance, p1: float):
-    """Per-service responses at p1 with storage-aware placement; returns
-    (profit, followers, placed) or a reason string."""
-    K = inst.num_services
-    responses = []
-    for k in range(K):
-        fs = follower_best_response_single_en(inst, k, p1)
-        if fs is None:
-            return f"follower {k} infeasible at p1={p1}"
-        responses.append(fs)
-    placed = np.array([1 if fs.y_edge[0] > _TOL else 0 for fs in responses])
-    # Storage: drop the least profitable placements until the EN fits.
-    while float(inst.service_size @ placed) > inst.storage_cap[0] + _TOL:
-        cands = [k for k in range(K) if placed[k]]
-        worst = min(cands, key=lambda k: (p1 * responses[k].y_edge[0]
-                                          - inst.placement_cost[0, k], k))
-        placed[worst] = 0
-        fallback = _cloud_solution(inst, worst)
-        if fallback is None:
-            return f"follower {worst} infeasible without placement"
-        responses[worst] = fallback
-    edge_total = sum(fs.y_edge[0] for fs in responses)
-    if edge_total > inst.compute_cap[0] + _TOL:
-        # Services jointly over-demand the EN; their individually optimal
-        # responses cannot coexist, so this price is not playable.
-        return "over-demanded"
-    if not placed.any():
-        return 0.0, responses, placed   # nothing placed: keep the EN off
-    profit = (p1 * edge_total
-              - inst.fixed_cost[0]
-              - inst.variable_cost[0] * edge_total / inst.compute_cap[0]
-              - float(inst.placement_cost[0] @ placed))
-    return profit, responses, placed
-
-
 def solve_single_en(inst: Instance) -> SingleEnResult:
-    """Enumerate the price grid: Case 1 over prices at or below the cloud
-    price, Case 2 descending from the top of the grid, plus the
-    all-inactive fallback; returns the overall argmax."""
-    _require_single_en(inst)
-    p0 = inst.cloud_price
-    grid = inst.price_grid[0]
+    """Enumerate every (grid price, set of placed services) candidate in
+    that order and return the first of the most profitable playable ones.
+    ``per_price`` maps each grid price to the best profit of a playable
+    non-empty set there, or to why none is playable. Raises ValueError
+    outside the scope in which the greedy response is exact."""
+    _require_greedy_scope(inst)
+    K = inst.num_services
+    cloud = [_cloud_solution(inst, k) for k in range(K)]
     per_price: Dict[float, object] = {}
-    best = None   # (profit, case, price, followers, placed)
-
-    def consider(profit, case, price, followers, placed):
-        nonlocal best
-        if best is None or profit > best[0] + _TOL or (
-                abs(profit - best[0]) <= _TOL and case == "case2"):
-            best = (profit, case, price, followers, placed)
-
-    for p1 in sorted((p for p in grid if p <= p0), reverse=True):
-        res = _evaluate_price(inst, p1)
-        per_price[p1] = res if isinstance(res, str) else res[0]
-        if not isinstance(res, str):
-            consider(res[0], "case1", p1, res[1], res[2])
-
-    for p1 in sorted((p for p in grid if p > p0), reverse=True):
-        res = _evaluate_price(inst, p1)
-        per_price[p1] = res if isinstance(res, str) else res[0]
-        if res == "over-demanded":
-            break   # offloads grow as the price drops; lower prices too
-        if not isinstance(res, str):
-            consider(res[0], "case2", p1, res[1], res[2])
-
-    # All-inactive fallback: valid when every service can live on the cloud.
-    cloud = [_cloud_solution(inst, k) for k in range(inst.num_services)]
-    if all(fs is not None for fs in cloud):
-        consider(0.0, "inactive", None, cloud,
-                 np.zeros(inst.num_services, int))
+    best = None   # (profit, price, followers, placed)
+    for p1 in inst.price_grid[0].tolist():
+        edge = [follower_best_response_single_en(inst, k, p1)
+                for k in range(K)]
+        for t in itertools.product((0, 1), repeat=K):
+            placed = np.array(t)
+            followers = [e if on else c for e, c, on in zip(edge, cloud, t)]
+            if any(fs is None for fs in followers):
+                continue
+            load = sum(fs.y_edge[0] for fs in followers)
+            if (float(inst.service_size @ placed) > inst.storage_cap[0] + _TOL
+                    or load > inst.compute_cap[0] + _TOL):
+                continue
+            profit = (p1 * load
+                      - inst.variable_cost[0] * load / inst.compute_cap[0]
+                      - float(inst.placement_cost[0] @ placed)
+                      - inst.fixed_cost[0] * any(t))
+            if any(t):
+                per_price[p1] = max(per_price.get(p1, -np.inf), profit)
+            if best is None or profit > best[0] + _TOL:
+                best = (profit, p1, followers, placed)
+        per_price.setdefault(p1, "no playable placement")
 
     if best is None:
         return SingleEnResult("infeasible", None, None, "infeasible",
                               None, None, per_price)
-    profit, case, price, followers, placed = best
+    profit, price, followers, placed = best
+    if not placed.any():
+        return SingleEnResult("optimal", None, 0.0, "inactive", followers,
+                              placed, per_price)
+    case = "case1" if price <= inst.cloud_price else "case2"
     return SingleEnResult("optimal", price, profit, case, followers, placed,
                           per_price)

@@ -17,7 +17,7 @@ from . import lp_core
 from ._milp_base import SCHEMES
 from .analytic import solve_single_en
 from .lp_core import MilpConfig
-from .model import Instance, ScalingFactors, scale_instance
+from .model import Instance, LeaderDecision, ScalingFactors, scale_instance
 from .oracle import brute_force_bilevel
 from .reform_dual import solve_p2, verify_bilevel_optimality
 from .reform_kkt import solve_p1
@@ -69,7 +69,8 @@ def run_scheme(inst: Instance, spec: SchemeSpec,
     """Solve one instance under one pricing scheme.
 
     Returns (profit, decisions, SolveReport) where decisions is the
-    (LeaderDecision, followers) pair when available.
+    (LeaderDecision, followers) pair when available. ``single-en``
+    raises ValueError outside the closed form's exact scope.
     """
     config = config or MilpConfig(backend="highs")
     t0 = time.perf_counter()
@@ -85,7 +86,14 @@ def run_scheme(inst: Instance, spec: SchemeSpec,
         wall = time.perf_counter() - t0
         report = SolveReport(spec.scheme, spec.method, res.status, res.profit,
                              wall, detail=f"case {res.case}")
-        return res.profit, (res, res.followers), report
+        decision = None
+        if res.placed is not None:
+            grid = inst.price_grid[0].tolist()
+            level = 0 if res.price is None else grid.index(res.price)
+            decision = LeaderDecision([level], [grid[level]],
+                                      [int(res.placed.any())],
+                                      res.placed[None, :])
+        return res.profit, (decision, res.followers), report
 
     solver = solve_p1 if spec.method == "kkt" else solve_p2
     res = solver(inst, config, spec.scheme)

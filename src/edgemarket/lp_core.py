@@ -280,15 +280,20 @@ class LinearModel:
 class MilpSolution:
     """A solve's outcome. ``x`` is the point, one value per variable id,
     or None when the solve found none; a layout's id arrays index it
-    directly. ``constraint_duals``, one per row in model order, come from
-    ``solve_lp`` only."""
+    directly. ``relative_gap`` is None without a point, since with no
+    incumbent the gap is unknown. ``constraint_duals``, one per row in
+    model order, come from ``solve_lp`` only."""
 
     status: str
     objective: float
     x: Optional[np.ndarray] = None
-    relative_gap: float = 0.0
+    relative_gap: Optional[float] = 0.0
     nodes_explored: int = 0
     constraint_duals: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.x is None:
+            self.relative_gap = None
 
 
 # The options linprog(method="highs") gave HiGHS; a retry changes some

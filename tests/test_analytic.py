@@ -1,5 +1,6 @@
-"""Single-EN closed form: greedy best response against the follower LP
-and grid enumeration against the duality MILP."""
+"""Single-EN closed form: greedy best response against the follower LP,
+grid enumeration against the duality MILP and the brute-force oracle,
+and its refusal outside the scope where the greedy response is exact."""
 
 import dataclasses
 
@@ -10,10 +11,12 @@ from edgemarket.analytic import (follower_best_response_single_en,
                                  solve_single_en)
 from edgemarket.follower import FollowerContext, solve_follower
 from edgemarket.lp_core import MilpConfig
+from edgemarket.model import Instance
+from edgemarket.oracle import brute_force_bilevel
 from edgemarket.reform_dual import solve_p2
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
-from conftest import TINY_PRICES
+from conftest import TINY_PRICES, tiny_config
 
 CFG = MilpConfig(backend="highs")
 
@@ -109,3 +112,80 @@ def test_per_price_log_covers_grid():
     res = solve_single_en(inst)
     assert set(res.per_price) <= set(inst.price_grid[0].tolist())
     assert res.per_price   # at least one price evaluated
+
+
+def _one_en_tiny_seeds(stop):
+    """Tiny seeds below ``stop`` whose own draw has one EN, picked from
+    the config alone, before any instance is generated."""
+    return [s for s in range(stop) if tiny_config(s).num_ens == 1]
+
+
+def _agrees_with_oracle(inst, res):
+    oracle = brute_force_bilevel(inst, keep_log=False)
+    if res.status != "optimal" or not oracle.feasible:
+        return (res.status == "optimal") == oracle.feasible
+    return abs(res.profit - oracle.profit) <= 1e-6 * (1 + abs(oracle.profit))
+
+
+def test_matches_oracle_in_scope():
+    """Delay caps of 70-100 and storage that cannot bind: every answer
+    equals the oracle's. Seeds 29, 150 and 167 are ones whose optimum
+    places one service of two where both together overfill the EN."""
+    seeds = _one_en_tiny_seeds(400)
+    assert {29, 150, 167} <= set(seeds)
+    misses = []
+    for seed in seeds:
+        cfg = tiny_config(seed, delay_cap_range=(70.0, 100.0))
+        inst = nonbinding_storage(sample_instance(cfg))
+        res = solve_single_en(inst)
+        if not _agrees_with_oracle(inst, res):
+            misses.append((seed, res.status, res.profit))
+    assert not misses
+
+
+def test_matches_oracle_or_refuses_with_generator_defaults():
+    refused, misses = [], []
+    for seed in _one_en_tiny_seeds(200):
+        inst = sample_instance(tiny_config(seed))
+        try:
+            res = solve_single_en(inst)
+        except ValueError:
+            refused.append(seed)
+            continue
+        if not _agrees_with_oracle(inst, res):
+            misses.append((seed, res.status, res.profit))
+    assert not misses
+    assert refused   # delay caps below the cloud delay are drawn
+
+
+def _one_ap_instance(**overrides):
+    """M = N = K = 1, where the EN at 0.01 undercuts the cloud at 0.02
+    but is 40 slower, and where the greedy response must offload all or
+    nothing of the AP's 10 units."""
+    inst = Instance(
+        num_aps=1, num_ens=1, num_services=1, num_price_levels=2,
+        demand=[[10.0]], delay_edge=[[50.0]], delay_cloud=[10.0],
+        cloud_price=0.02, price_grid=[[0.01, 0.03]], compute_cap=[20.0],
+        storage_cap=[100.0], fixed_cost=[0.05], variable_cost=[0.105],
+        placement_cost=[[0.0]], service_size=[10.0], budget=[0.15],
+        delay_weight=[1e-3], delay_cap=[100.0], eligible=[[[1]]])
+    return dataclasses.replace(inst, **overrides)
+
+
+@pytest.mark.parametrize("overrides, optimum", [
+    # The budget of 0.15 buys the all-cloud 0.2 only if 5 units move to
+    # the EN at 0.01, against the service's delay preference.
+    ({}, -0.02625),
+    # At delay weight 1e-4 the EN at 0.01 is worth all 10 units, but
+    # the delay cap of 40 lets only 7.5 of them move.
+    ({"budget": np.array([1.0]), "delay_weight": np.array([1e-4]),
+      "delay_cap": np.array([40.0]), "fixed_cost": np.array([0.0])},
+     0.035625),
+], ids=["budget", "delay-cap"])
+def test_refuses_where_a_split_is_forced(overrides, optimum):
+    """The greedy response moves all or none of an AP's workload, so
+    where the follower's optimum splits it the closed form refuses."""
+    inst = _one_ap_instance(**overrides)
+    assert brute_force_bilevel(inst).profit == pytest.approx(optimum)
+    with pytest.raises(ValueError, match="out of scope"):
+        solve_single_en(inst)

@@ -2,8 +2,10 @@
 rows, exit codes."""
 
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from edgemarket import cli
@@ -11,10 +13,10 @@ from edgemarket.cli import main
 from edgemarket.harness import (SchemeSpec, run_scheme,
                                 run_sensitivity_sweep, run_timing_benchmark)
 from edgemarket.lp_core import MilpConfig
-from edgemarket.model import leader_profit
+from edgemarket.model import LeaderDecision, leader_profit
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
-from conftest import TINY_PRICES, tiny_instance
+from conftest import TINY_PRICES, tiny_config, tiny_instance
 
 CFG = MilpConfig(backend="highs")
 
@@ -71,9 +73,13 @@ def test_run_scheme_single_en():
     cfg = ScenarioConfig(seed=1, num_aps=2, num_ens=1, num_services=1,
                          price_levels=TINY_PRICES)
     inst = sample_instance(cfg)
-    profit, _, report = run_scheme(inst, SchemeSpec("dyn", "single-en"), CFG)
+    profit, (leader, followers), report = run_scheme(
+        inst, SchemeSpec("dyn", "single-en"), CFG)
     assert report.status == "optimal"
     assert report.detail.startswith("case ")
+    assert isinstance(leader, LeaderDecision)
+    assert leader.placed.shape == (1, inst.num_services)
+    assert leader_profit(inst, leader, followers) == pytest.approx(profit)
 
 
 def test_sweep_rows_and_csv(tmp_path):
@@ -198,9 +204,45 @@ def test_cli_time_limit_hit_exit_3(tmp_path, capsys):
     """A solve stopped by ``--time-limit`` exits 3 and reports the limit."""
     path = _gen(tmp_path)
     capsys.readouterr()
-    rc = main(["solve", "--instance", str(path), "--time-limit", "0"])
-    assert rc == 3
-    assert json.loads(capsys.readouterr().out)["status"] == "time-limit"
+    for method in ("dual", "kkt"):
+        rc = main(["solve", "--instance", str(path), "--time-limit", "0",
+                   "--method", method])
+        assert rc == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "time-limit"
+        assert report["relative_gap"] is None   # no incumbent, no gap
+
+
+def _write_single_en(tmp_path, seed, **overrides):
+    """The one-EN tiny instance of ``seed`` with storage that cannot bind."""
+    inst = sample_instance(tiny_config(seed, **overrides))
+    inst = dataclasses.replace(
+        inst, storage_cap=np.full(1, inst.service_size.sum() + 1))
+    path = tmp_path / f"single_en_{seed}.json"
+    path.write_text(inst.to_json())
+    return path
+
+
+def test_cli_single_en_finds_the_one_service_optimum(tmp_path, capsys):
+    """Both services of tiny seed 29 would overfill the EN together; the
+    optimum places one of them and earns 0.13."""
+    path = _write_single_en(tmp_path, 29, delay_cap_range=(70.0, 100.0))
+    rc = main(["solve", "--instance", str(path), "--method", "single-en"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "optimal"
+    assert report["profit"] == pytest.approx(0.13, abs=1e-9)
+
+
+def test_cli_single_en_out_of_scope_exit_4(tmp_path, capsys):
+    """Tiny seed 3 draws a delay cap below the cloud delay, where the
+    closed form may not be exact: an error, not an answer."""
+    path = _write_single_en(tmp_path, 3)
+    rc = main(["solve", "--instance", str(path), "--method", "single-en"])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "out of scope" in err
 
 
 def test_cli_infeasible_exit_2(tmp_path, capsys):
