@@ -159,9 +159,8 @@ def test_matches_oracle_or_refuses_with_generator_defaults():
 
 
 def _one_ap_instance(**overrides):
-    """M = N = K = 1, where the EN at 0.01 undercuts the cloud at 0.02
-    but is 40 slower, and where the greedy response must offload all or
-    nothing of the AP's 10 units."""
+    """M = N = K = 1: the EN at 0.01 undercuts the cloud at 0.02 but is
+    40 slower, and has room for all of the AP's 10 units."""
     inst = Instance(
         num_aps=1, num_ens=1, num_services=1, num_price_levels=2,
         demand=[[10.0]], delay_edge=[[50.0]], delay_cloud=[10.0],
@@ -173,8 +172,9 @@ def _one_ap_instance(**overrides):
 
 
 @pytest.mark.parametrize("overrides, optimum", [
-    # The budget of 0.15 buys the all-cloud 0.2 only if 5 units move to
-    # the EN at 0.01, against the service's delay preference.
+    # The all-cloud spend of 0.2 exceeds the budget of 0.15, which is
+    # met only if 5 units move to the EN at 0.01, against the service's
+    # delay preference.
     ({}, -0.02625),
     # At delay weight 1e-4 the EN at 0.01 is worth all 10 units, but
     # the delay cap of 40 lets only 7.5 of them move.
@@ -183,8 +183,9 @@ def _one_ap_instance(**overrides):
      0.035625),
 ], ids=["budget", "delay-cap"])
 def test_refuses_where_a_split_is_forced(overrides, optimum):
-    """The greedy response moves all or none of an AP's workload, so
-    where the follower's optimum splits it the closed form refuses."""
+    """With room to spare, the greedy response moves all or none of
+    the AP's workload; where the follower's optimum splits it, the
+    closed form must refuse."""
     inst = _one_ap_instance(**overrides)
     assert brute_force_bilevel(inst).profit == pytest.approx(optimum)
     with pytest.raises(ValueError, match="out of scope"):
