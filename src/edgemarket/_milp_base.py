@@ -25,17 +25,16 @@ and adds complementarity pairs over the follower's primal rows
   big-M escalation loop behind ``solve_p1`` and ``solve_p2``.
 
 This module owns the big-M constants, whose only inputs are the
-instance and the multiplier scale ``m_lin``: ``M_LIN`` is the starting
-scale, ``multiplier_bounds`` turns a scale into heuristic bounds per
-multiplier family, ``zero_multipliers`` proves from the data which
-budget, eligibility and delay-cap multipliers can be bounded by 0
-instead, ``validate_bigM`` checks the returned point against the
-heuristic bounds, and ``solve_reformulation`` raises only ``m_lin`` when
-one binds. A proven bound of 0 on mu2 or eta is a column upper bound in
-both methods; on tau it is the multiplier side of P1's delay-cap pair
-only. Either way HiGHS's presolve removes what it kills, while every
-row is still written. The slack-side constants of P1's pairs are exact
-data bounds, chosen by ``reform_kkt.build_p1``.
+instance and the multiplier scale ``m_lin``, which starts at ``M_LIN``.
+``multiplier_bounds`` is their one table: an array per multiplier
+family, 0 where ``zero_multipliers`` proves a multiplier 0 from the
+data and a heuristic bound scaled by ``m_lin`` elsewhere. Every builder
+row and ``validate_bigM`` read their constant from it, and
+``solve_reformulation`` raises only ``m_lin`` when one binds. A 0 entry
+of mu2 or eta is also a column upper bound in both methods; one of tau
+reaches P1's delay-cap pairs only. HiGHS's presolve removes what a 0
+kills, while every row is still written. The slack-side constants of
+P1's pairs are exact data bounds, chosen by ``reform_kkt.build_p1``.
 
 It also owns the primal-side purchase caps: ``purchase_caps`` bounds
 what each service can buy from each EN at each price level at any
@@ -110,36 +109,44 @@ class MilpLayout:
 M_LIN = 10.0   # starting multiplier scale: ten times each multiplier's unit
 
 
-def multiplier_bounds(inst: Instance, m_lin: float,
-                      ) -> Tuple[float, float, float]:
-    """Multiplier-side big-M constants for the scale ``m_lin``, each in
-    its multiplier's own units: ``(budget, unit, delay)``.
+def multiplier_bounds(inst: Instance, m_lin: float) -> Dict[str, np.ndarray]:
+    """The big-M constant of each bounded follower multiplier at the
+    scale ``m_lin``, one array per family, keyed and shaped like its
+    ``MilpLayout`` field with the service index last: ``mu1``, ``mu2``,
+    ``lam``, ``gamma``, ``eta``, ``zeta``, ``eps`` and ``tau``. An entry
+    is 0 where ``zero_multipliers`` proves its multiplier 0, and
+    elsewhere a heuristic bound in the family's own units:
 
-    - ``budget`` bounds the budget multiplier mu2, which is dimensionless
-      (cost per unit of budget): ``m_lin`` itself.
-    - ``unit`` bounds the multipliers priced in money per unit of
-      workload (mu1, lambda, Gamma, eta, zeta, eps): ``m_lin`` times the
-      most one unit of workload can cost a service, the highest price
-      plus the highest delay weight times the longest delay.
-    - ``delay`` bounds the delay-cap multiplier tau, in money per ms of
-      average delay: ``unit`` times the largest per-AP demand over the
-      longest delay, the rate at which moving an AP's whole demand
-      across the delay range trades money for average delay.
+    - mu2, the budget multiplier, is dimensionless (cost per unit of
+      budget): ``m_lin`` itself.
+    - mu1, lambda, Gamma, eta, zeta and eps are in money per unit of
+      workload: ``m_lin`` times the most one unit of workload can cost a
+      service, the highest price plus the highest delay weight times the
+      longest delay.
+    - tau, the delay-cap multiplier, is in money per ms of average delay:
+      the per-unit bound times the largest per-AP demand over the longest
+      delay, the rate at which moving an AP's whole demand across the
+      delay range trades money for average delay.
 
-    These are not proven bounds: a follower multiplier has no a-priori
-    bound, and a constant that is too small can cut off a better leader
+    The heuristic entries are not proven: a follower multiplier has no
+    a-priori bound, and one that is too small can cut off a better leader
     decision. ``solve_reformulation`` relies on ``validate_bigM``, which
     sees only the returned point, and raises ``m_lin`` tenfold when it
-    flags one. Where ``zero_multipliers`` proves mu2 or eta 0, the
-    builders use 0 in place of these, and so does P1's delay-cap pair
-    where it proves tau 0.
+    flags one. No escalation changes a proven 0.
     """
+    M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     max_delay = max(float(inst.delay_edge.max(initial=0.0)),
                     float(inst.delay_cloud.max(initial=0.0)), 1.0)
     per_unit = (max(float(inst.price_grid.max(initial=0.0)), inst.cloud_price)
                 + float(inst.delay_weight.max(initial=0.0)) * max_delay)
     unit = m_lin * per_unit
-    return m_lin, unit, unit * float(inst.demand.max(initial=0.0)) / max_delay
+    delay = unit * float(inst.demand.max(initial=0.0)) / max_delay
+    mu2_zero, eta_zero, tau_zero = zero_multipliers(inst)
+    return {"mu1": np.full(K, unit), "mu2": np.where(mu2_zero, 0.0, m_lin),
+            "lam": np.full((N, K), unit), "gamma": np.full((N, K), unit),
+            "eta": np.where(eta_zero, 0.0, unit),
+            "zeta": np.full((M, K), unit), "eps": np.full((M, N, K), unit),
+            "tau": np.where(tau_zero, 0.0, delay)}
 
 
 def zero_multipliers(inst: Instance,
@@ -256,24 +263,21 @@ def build_base(inst: Instance, m_lin: float, name: str, scheme: str = "dyn",
     since each read of an array element is a numpy call and a build
     reads thousands. ``ids`` also carries the constants the build used,
     so that a build computes each once: ``ids.bounds``, the
-    ``multiplier_bounds`` at ``m_lin``, and the ``zero_multipliers``
-    masks ``ids.mu2_zero``, ``ids.eta_zero`` and ``ids.tau_zero``, and
-    the ``purchase_caps`` array ``ids.caps`` that ``add_revenue_hull``
-    boxes each price level's purchase with.
+    ``multiplier_bounds`` table at ``m_lin``, and the ``purchase_caps``
+    array ``ids.caps`` that ``add_revenue_hull`` boxes each price
+    level's purchase with.
 
-    ``m_lin`` is the multiplier scale of ``multiplier_bounds``; the
-    products ``r * mu2`` and ``t * Gamma`` are linearized with the mu2
-    and per-unit bounds it gives, except where ``zero_multipliers``
-    proves mu2 0: there mu2's column and its hull take the bound 0, as
-    do the eta columns it proves. The tau columns stay unbounded here:
-    only P1's delay-cap pairs take the proven 0, since a column bound
-    of 0 on tau made P2 slower. ``t * Gamma`` takes the three McCormick
-    rows. ``r * mu2`` takes the hull over EN j's one-hot price choice
-    (Balas' disjunctive hull, or RLT with the ``onehot_j`` row):
-    ``pisum``, ``sum_v pi[j,v,k] = mu2[k]``, and ``piub1``,
-    ``pi[j,v,k] <= mu2_max r[j,v]``. It is exact at every integer point
-    and implies the McCormick rows ``pi <= mu2`` and
-    ``mu2 - pi <= mu2_max (1 - r)``, which are not written.
+    The products take their constants from the table: ``t * Gamma``
+    takes the three McCormick rows with Gamma's entry ``gamma_ub``, and
+    ``r * mu2`` the hull over EN j's one-hot price choice (Balas'
+    disjunctive hull, or RLT with the ``onehot_j`` row): ``pisum``,
+    ``sum_v pi[j,v,k] = mu2[k]``, and ``piub1``, ``pi[j,v,k] <=
+    mu2_ub r[j,v]`` with mu2's entry ``mu2_ub``. It is exact at every
+    integer point and implies the McCormick rows ``pi <= mu2`` and
+    ``mu2 - pi <= mu2_ub (1 - r)``, which are not written. A mu2 or eta
+    column whose entry is 0 is bounded by 0. The tau columns stay
+    unbounded: only P1's delay-cap pairs take tau's 0 entries, since a
+    column bound of 0 on tau made P2 slower.
 
     ``scheme``, one of ``SCHEMES``, is the leader's pricing: ``dyn`` adds
     no row; ``flat`` the ``flat_*`` rows, giving every EN the level of EN
@@ -284,8 +288,6 @@ def build_base(inst: Instance, m_lin: float, name: str, scheme: str = "dyn",
         raise ValueError(f"unknown scheme {scheme!r}")
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
     bounds = multiplier_bounds(inst, m_lin)
-    mu2_max, gamma_max, _ = bounds
-    mu2_zero, eta_zero, tau_zero = zero_multipliers(inst)
     m = LinearModel(name=name, sense="max")
     z = m.add_vars("z", (N,), binary=True)
     t = m.add_vars("t", (N, K), binary=True)
@@ -307,16 +309,16 @@ def build_base(inst: Instance, m_lin: float, name: str, scheme: str = "dyn",
         sym: np.empty(shape + (K,), np.int64)
         for sym, _, shape, _ in service_columns})
     ids = SimpleNamespace(r=r.tolist(), z=z.tolist(), t=t.T.tolist(),
-                          bounds=bounds, mu2_zero=mu2_zero, eta_zero=eta_zero,
-                          tau_zero=tau_zero, caps=purchase_caps(inst),
+                          bounds=bounds, caps=purchase_caps(inst),
                           **{sym: [] for sym, *_ in service_columns})
-    eta_ub = np.where(eta_zero, 0.0, math.inf)
+    # A mu2 or eta column is bounded by 0 where its table entry is 0.
+    ub = {sym: np.where(bounds[sym] > 0, math.inf, 0.0)
+          for sym in ("mu2", "eta")}
     for k in range(K):
-        ub = {"mu2": 0.0 if mu2_zero[k] else math.inf, "eta": eta_ub[:, :, k]}
         suffix = f"_{k}"
         for sym, prefix, shape, lb in service_columns:
             block = m.add_vars(prefix, shape, suffix, lb,
-                               ub.get(sym, math.inf))
+                               ub[sym][..., k] if sym in ub else math.inf)
             getattr(lay, sym)[..., k] = block
             getattr(ids, sym).append(block.tolist())
 
@@ -362,8 +364,7 @@ def build_base(inst: Instance, m_lin: float, name: str, scheme: str = "dyn",
         # pi[j,v,k] = r[j,v] * mu2[k], as the hull over EN j's one-hot
         # price choice: mu2 splits across the levels, each share boxed
         # by its binary.
-        mu2, pi = ids.mu2[k], ids.pi[k]
-        mu2_ub = 0.0 if mu2_zero[k] else mu2_max
+        mu2, pi, mu2_ub = ids.mu2[k], ids.pi[k], bounds["mu2"][k]
         for j in range(N):
             for v in range(V):
                 m.add_constr({pi[j][v]: 1.0, r[j][v]: -mu2_ub},
@@ -374,12 +375,13 @@ def build_base(inst: Instance, m_lin: float, name: str, scheme: str = "dyn",
         # g[j,k] = t[j,k] * gamma[j,k]
         g, gamma = ids.g[k], ids.gamma[k]
         for j in range(N):
-            m.add_constr({g[j]: 1.0, t[k][j]: -gamma_max}, LE, 0.0,
+            gamma_ub = bounds["gamma"][j, k]
+            m.add_constr({g[j]: 1.0, t[k][j]: -gamma_ub}, LE, 0.0,
                          name=f"gub1_{j}_{k}")
             m.add_constr({g[j]: 1.0, gamma[j]: -1.0}, LE, 0.0,
                          name=f"gub2_{j}_{k}")
-            m.add_constr({gamma[j]: 1.0, g[j]: -1.0, t[k][j]: gamma_max},
-                         LE, gamma_max, name=f"glb_{j}_{k}")
+            m.add_constr({gamma[j]: 1.0, g[j]: -1.0, t[k][j]: gamma_ub},
+                         LE, gamma_ub, name=f"glb_{j}_{k}")
 
         # revdef: edge revenue written in dual terms. With the rows of
         # add_revenue_hull it is the strong-duality equality.
@@ -550,7 +552,8 @@ def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
 
 def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
                   m_lin: float) -> List[str]:
-    """Flag any multiplier within 1% of its big-M constant.
+    """Flag any multiplier within 1% of its entry of the
+    ``multiplier_bounds`` table at ``m_lin``.
 
     Only the multiplier side is checked. The slack-side constants are
     exact data bounds (see ``reform_kkt.build_p1``), so a slack that
@@ -562,44 +565,34 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     P2's products too, are checked for both; the multipliers of P1's
     complementarity pairs only when ``lay.pairs`` is not empty.
 
-    A multiplier that ``zero_multipliers`` proves 0 is never flagged.
-    The builders bound it by that proven 0, which cuts nothing off and
-    which no escalation changes: mu2 and eta through their columns, so
-    their values are 0 and never near a heuristic bound, and tau
-    through the multiplier side of P1's delay-cap pair, a row, so a
-    proven tau is skipped by its mask rather than trusted to read exactly
-    0 at every scale. Multipliers of
-    vacuous rows (capacity of an unplaced EN, eligibility of a barred
-    pair, rows with zero demand) are costless degenerate rays that the
-    solver may legitimately park at the bound; those are skipped too,
-    because any value of theirs supports the same optimum. Between the
-    two, eta is never checked: it is proven 0 on every eligible pair.
-    Flags come family by family, each in index order.
+    An entry of 0 is never flagged: it is a proof of
+    ``zero_multipliers``, which cuts nothing off and which no escalation
+    changes. Multipliers of vacuous rows (capacity of an unplaced EN,
+    eligibility of a barred pair, rows with zero demand) are costless
+    degenerate rays that the solver may legitimately park at the bound;
+    those are skipped too, because any value of theirs supports the same
+    optimum. Between the two, eta is never checked: its entry is 0 on
+    every eligible pair. Flags come family by family, each in index
+    order.
     """
-    mu2_max, unit_max, tau_max = multiplier_bounds(inst, m_lin)
+    bounds = multiplier_bounds(inst, m_lin)
     x = sol.x
     placed = x[lay.t] > 0.5
-    checks = [(lay.mu2, True, mu2_max, "mu2"),
-              (lay.gamma, placed, unit_max, "Gamma")]
+    checks = [("mu2", True, "mu2"), ("gamma", placed, "Gamma")]
     if lay.pairs:
         demand = inst.demand > 0
-        tau_free = ~zero_multipliers(inst)[2]
-        checks += [(lay.tau, demand & tau_free, tau_max, "tau"),
-                   (lay.zeta, demand, unit_max, "zeta"),
-                   (lay.mu1, True, unit_max, "mu1"),
-                   (lay.lam, placed, unit_max, "lambda"),
-                   (lay.eps, placed & (inst.eligible == 1) & demand[:, None],
-                    unit_max, "eps")]
+        checks += [("tau", demand, "tau"), ("zeta", demand, "zeta"),
+                   ("mu1", True, "mu1"), ("lam", placed, "lambda"),
+                   ("eps", placed & (inst.eligible == 1) & demand[:, None],
+                    "eps")]
     flags: List[str] = []
-    for ids, checked, limit, label in checks:
-        value = x[ids]
-        near = value >= 0.99 * limit
-        if not near.any():
-            continue
-        for index in np.argwhere(checked & near):
+    for sym, checked, label in checks:
+        value, limit = x[getattr(lay, sym)], bounds[sym]
+        near = (value >= 0.99 * limit) & (limit > 0)
+        for index in map(tuple, np.argwhere(checked & near)):
             flags.append(f"{label}[{','.join(map(str, index))}]: value "
-                          f"{value[tuple(index)]:.6g} within 1% of M "
-                          f"{limit:.6g}")
+                          f"{value[index]:.6g} within 1% of M "
+                          f"{limit[index]:.6g}")
     return flags
 
 

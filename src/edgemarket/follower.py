@@ -204,35 +204,6 @@ _FAMILY_OF_PREFIX = {"bal": "demand balance", "cov": "procurement coverage",
                      "ddef": "delay definition", "dcap": "delay cap"}
 
 
-def _diagnose_infeasibility(base: LinearModel) -> str:
-    """Minimize the total elastic violation of the follower LP ``base``
-    and name the worst family. The elastic model's first columns are
-    ``base``'s, with the same ids."""
-    m = LinearModel(name=f"{base.name}_elastic", sense="min")
-    for v in base.variables:
-        m.add_var(v.name, v.lb, v.ub)
-    slacks = []
-    for ridx, c in enumerate(base.constraints):
-        family = _FAMILY_OF_PREFIX[c.name.split("_")[0]]
-        coeffs = dict(c.coeffs)
-        sid = m.add_var(f"slack_{ridx}")
-        coeffs[sid] = -1.0 if c.sense in (LE, EQ) else 1.0
-        if c.sense == EQ:
-            sid2 = m.add_var(f"slack2_{ridx}")
-            coeffs[sid2] = 1.0
-            slacks.append((sid2, family))
-        slacks.append((sid, family))
-        m.add_constr(coeffs, c.sense, c.rhs, name=c.name)
-    m.set_objective({sid: 1.0 for sid, _ in slacks})
-    sol = lp_core.solve_lp(m)
-    if sol.status != lp_core.OPTIMAL:
-        return "unknown"
-    totals = {fam: 0.0 for fam in _FAMILIES}
-    for sid, fam in slacks:
-        totals[fam] += sol.x[sid]
-    return max(totals, key=totals.get)
-
-
 def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution]:
     """Solve one follower LP and recover a full set of multipliers.
 
@@ -249,7 +220,15 @@ def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution
     primal, cols = build_follower_lp(ctx)
     psol = lp_core.solve_lp(primal)
     if psol.status != lp_core.OPTIMAL:
-        raise FollowerInfeasibleError(k, _diagnose_infeasibility(primal))
+        # Name the family that carries the most of the least total row
+        # violation; a tie goes to the first in _FAMILIES.
+        gaps, family = lp_core.row_violations(primal), "unknown"
+        if gaps is not None:
+            totals = dict.fromkeys(_FAMILIES, 0.0)
+            for row, gap in zip(primal.constraints, gaps.tolist()):
+                totals[_FAMILY_OF_PREFIX[row.name.split("_")[0]]] += gap
+            family = max(totals, key=totals.get)
+        raise FollowerInfeasibleError(k, family)
     x = psol.x
     fs = FollowerSolution(
         x_cloud=x[cols.x0],

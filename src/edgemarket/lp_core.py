@@ -417,6 +417,22 @@ def solve_lp(m: LinearModel,
     return MilpSolution(OPTIMAL, float(cm.cost @ x), x, constraint_duals=duals)
 
 
+def row_violations(m: LinearModel) -> Optional[np.ndarray]:
+    """Each row's violation, in model order, at a point that minimises
+    the total row violation within the column bounds (HiGHS's feasibility
+    relaxation), or None if HiGHS fails. A fresh HiGHS instance solves
+    it, so the one ``solve_lp`` keeps for hot starts is untouched."""
+    cm = m._compiled_form()
+    h = _new_highs(cm, cm.col_lo, cm.col_hi)
+    if h.feasibilityRelaxation(-1.0, -1.0, 1.0) != _highs.HighsStatus.kOk:
+        return None
+    rows = np.array(h.getSolution().row_value)
+    gaps = np.empty(m.num_constrs)
+    gaps[cm.row_order] = np.maximum(cm.row_lo - rows,
+                                    rows - cm.row_hi).clip(0.0)
+    return gaps
+
+
 @dataclass
 class MilpConfig:
     gap_tol: float = 1e-6

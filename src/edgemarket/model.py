@@ -196,6 +196,9 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every instance invariant; returns diagnostics, never raises."""
     rep = ValidationReport()
+    for key, attr in _JSON_FIELDS[:4]:
+        if getattr(inst, attr) < 1:
+            rep.add(f"{key} must be at least 1, got {getattr(inst, attr)}")
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
     expected = {
         "demand": (M, K),
@@ -234,7 +237,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
         rep.add(f"negative edge delay at {idx}")
     for (i,) in zip(*np.nonzero(inst.delay_cloud < 0)[:1]):
         rep.add(f"negative cloud delay at {i}")
-    if not inst.cloud_price > 0:
+    if not np.isfinite(inst.cloud_price):
+        rep.add("cloud_price is non-finite")
+    elif not inst.cloud_price > 0:
         rep.add("cloudPrice must be > 0")
     for j in range(N):
         col = inst.price_grid[j]

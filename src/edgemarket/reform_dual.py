@@ -36,10 +36,11 @@ def build_p2(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
     equated with the price-times-procurement rows of
     ``add_revenue_hull``.
 
-    ``m_lin`` is the multiplier scale of ``multiplier_bounds``; it sizes
-    only the ``r * mu2`` and ``t * Gamma`` product rows of
-    ``build_base``. ``scheme`` is the pricing scheme whose rows
-    ``build_base`` writes: ``dyn``, ``flat`` or ``avg``."""
+    ``m_lin`` is the scale of the ``multiplier_bounds`` table, whose
+    entries are the constants of ``build_base``'s ``r * mu2`` and
+    ``t * Gamma`` product rows and the 0 bounds of its mu2 and eta
+    columns; P2 has no other big-M. ``scheme`` is the pricing scheme
+    whose rows ``build_base`` writes: ``dyn``, ``flat`` or ``avg``."""
     m, lay, ids = build_base(inst, m_lin, "p2", scheme)
     for k in range(inst.num_services):
         # Dual feasibility; p(1+mu2) expanded over the one-hot selection.

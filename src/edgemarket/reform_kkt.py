@@ -9,9 +9,10 @@ primal row ``follower.add_follower_rows`` wrote, so each primal row is
 written once. Where the data prove a side 0 at every follower optimum,
 its constant is 0: the slack of a coverage row whose price is positive,
 and the multipliers ``_milp_base.zero_multipliers`` proves 0 (budget,
-eligibility, and the delay cap where every option of the AP meets it).
-The pair and its switch are still written, and HiGHS's presolve
-removes what the 0 settles. The bilinear price-times-budget-multiplier and
+eligibility, and the delay cap where every option of the AP meets it),
+whose entries of the ``multiplier_bounds`` table are 0. The pair and
+its switch are still written, and HiGHS's presolve removes what the 0
+settles. The bilinear price-times-budget-multiplier and
 placement-times-capacity-multiplier products are expanded over the
 one-hot price selection.
 
@@ -76,14 +77,15 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
     bound, and the cloud row with a free cloud price the per-service
     demand. A bound of zero, as with no demand at all, is exact too: its
     slack is zero at every follower optimum. On the multiplier side,
-    the delay-cap (``cc1``), eligibility (``cc5``) and budget (``cc6``)
-    pairs take the bound 0 wherever ``zero_multipliers`` proves it from
-    the data: its masks hold for one optimal dual at once, and any
-    optimal dual is complementary to any optimal primal point. Every
-    other constant is the heuristic bound ``multiplier_bounds`` gives
-    for ``m_lin``. The coverage and delay-cap bounds are meant together:
-    the coverage bounds alone made HiGHS's search on desk-size P1
-    larger. The pairs are written either way, so the binary count
+    each pair's constant is its multiplier's entry of the
+    ``multiplier_bounds`` table at ``m_lin``, ``ids.bounds``. That is 0
+    for the delay-cap (``cc1``), eligibility (``cc5``) and budget
+    (``cc6``) pairs wherever ``zero_multipliers`` proves it from the
+    data: its masks hold for one optimal dual at once, and any optimal
+    dual is complementary to any optimal primal point. Every other entry
+    is a heuristic bound. The coverage and delay-cap bounds are meant
+    together: the coverage bounds alone made HiGHS's search on desk-size
+    P1 larger. The pairs are written either way, so the binary count
     stays ``2K(M+1)(N+1)`` and HiGHS's presolve removes the pairs a
     bound of 0 settles. P2 leaves tau unbounded: its models are
     unchanged by the delay-cap proof. ``scheme`` is the pricing scheme
@@ -91,8 +93,7 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
     """
     M, N, K = inst.num_aps, inst.num_ens, inst.num_services
     m, lay, ids = build_base(inst, m_lin, "p1", scheme)
-    mu2_max, unit_max, tau_max = ids.bounds
-    mu2_zero, eta_zero, tau_zero = ids.mu2_zero, ids.eta_zero, ids.tau_zero
+    bounds = ids.bounds
     delay_max = float(inst.delay_cap.max(initial=0.0))
     ap_demand = float(inst.demand.max(initial=0.0))
     capacity = float(inst.compute_cap.max(initial=0.0))
@@ -116,33 +117,31 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
         # variable, which ``revsum`` pins to the true edge spend.
         for i in range(M):
             _add_pair(m, lay, "cc1", f"{i}_{k}", rows[f"dcap_{i}_{k}"],
-                      delay_max, ids.tau[k][i],
-                      0.0 if tau_zero[i, k] else tau_max)
+                      delay_max, ids.tau[k][i], bounds["tau"][i, k])
         _add_pair(m, lay, "cc2", str(k), rows[f"cov0_{k}"],
-                  cloud_cov, ids.mu1[k], unit_max)
+                  cloud_cov, ids.mu1[k], bounds["mu1"][k])
         for j in range(N):
             _add_pair(m, lay, "cc3", f"{j}_{k}", rows[f"cov_{j}_{k}"],
-                      edge_cov[j], ids.lam[k][j], unit_max)
+                      edge_cov[j], ids.lam[k][j], bounds["lam"][j, k])
         for j in range(N):
             _add_pair(m, lay, "cc4", f"{j}_{k}", rows[f"cap_{j}_{k}"],
-                      capacity, ids.gamma[k][j], unit_max)
+                      capacity, ids.gamma[k][j], bounds["gamma"][j, k])
         for i in range(M):
             for j in range(N):
                 _add_pair(m, lay, "cc5", f"{i}_{j}_{k}",
                           rows[f"elig_{i}_{j}_{k}"], ap_demand,
-                          ids.eta[k][i][j],
-                          0.0 if eta_zero[i, j, k] else unit_max)
+                          ids.eta[k][i][j], bounds["eta"][i, j, k])
         _add_pair(m, lay, "cc6", str(k), rows[f"budget_{k}"], budget,
-                  ids.mu2[k], 0.0 if mu2_zero[k] else mu2_max)
+                  ids.mu2[k], bounds["mu2"][k])
         for i in range(M):
             _add_pair(m, lay, "cc7", f"{i}_{k}",
                       ({ids.x_cloud[k][i]: -1.0}, 0.0),
-                      ap_demand, ids.zeta[k][i], unit_max)
+                      ap_demand, ids.zeta[k][i], bounds["zeta"][i, k])
         for i in range(M):
             for j in range(N):
                 _add_pair(m, lay, "cc8", f"{i}_{j}_{k}",
                           ({ids.x_edge[k][i][j]: -1.0}, 0.0),
-                          ap_demand, ids.eps[k][i][j], unit_max)
+                          ap_demand, ids.eps[k][i][j], bounds["eps"][i, j, k])
     return m, lay
 
 

@@ -53,6 +53,10 @@ class ScenarioConfig:
     eligible: Optional[tuple] = None   # explicit (M, N, K) override
 
     def __post_init__(self):
+        for name in ("num_aps", "num_ens", "num_services"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
         if self.num_aps + self.num_ens > self.topology_nodes \
                 and not self.allow_colocation:
             raise ValueError("AP + EN count exceeds topology size")

@@ -195,6 +195,17 @@ def test_cli_rejects_bad_limits_exit_4(argv, capsys):
     assert "finite number >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--m", "0"), ("--n", "0"),
+                                        ("--k", "0"), ("--m", "-1")])
+def test_cli_gen_empty_dimension_exit_4(tmp_path, capsys, flag, value):
+    """A dimension below 1 is refused before any file is written."""
+    path = tmp_path / "inst.json"
+    rc = main(["gen", flag, value, "--out", str(path)])
+    assert rc == 4
+    assert not path.exists()
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_missing_file_exit_4(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "nope.json")])
     assert rc == 4

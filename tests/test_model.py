@@ -68,6 +68,9 @@ def test_validate_flags_each_violation_family():
             ({"delay_edge": -inst.delay_edge}, "negative edge delay"),
             ({"delay_cloud": -inst.delay_cloud}, "negative cloud delay"),
             ({"cloud_price": 0.0}, "cloudPrice must be > 0"),
+            ({"cloud_price": np.inf}, "cloud_price is non-finite"),
+            ({"cloud_price": np.nan}, "cloud_price is non-finite"),
+            ({"num_services": 0}, "numServices must be at least 1"),
             ({"delay_weight": -inst.delay_weight}, "negative delayWeight"),
             ({"eligible": eligible}, "eligible entry not binary")):
         rep = validate_instance(dataclasses.replace(inst, **change))

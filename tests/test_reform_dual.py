@@ -11,8 +11,7 @@ import pytest
 
 from edgemarket import lp_core, reform_dual, reform_kkt
 from edgemarket._milp_base import (MAX_ESCALATIONS, M_LIN, IntegrityError,
-                                   extract_solution, multiplier_bounds,
-                                   purchase_caps)
+                                   extract_solution, purchase_caps)
 from edgemarket.lp_core import LE, MilpConfig, MilpSolution, solve_lp
 from edgemarket.model import (FollowerSolution, LeaderDecision,
                               leader_profit, validate_instance)
@@ -90,7 +89,7 @@ def _add_mccormick_rows(m, inst, lay):
     """The McCormick rows the hull rows replaced: ``h <= y``,
     ``y - h <= C (1 - r)``, ``pi <= mu2`` and
     ``mu2 - pi <= mu2_max (1 - r)``."""
-    mu2_max = multiplier_bounds(inst, M_LIN)[0]
+    mu2_max = M_LIN
     for (j, v, k), p in np.ndenumerate(lay.pi):
         r, mu2 = lay.r[j, v], lay.mu2[k]
         m.add_constr({p: 1.0, mu2: -1.0}, LE, 0.0, name=f"piub2_{j}_{v}_{k}")

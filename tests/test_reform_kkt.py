@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgemarket._milp_base import M_LIN, zero_multipliers
+from edgemarket._milp_base import (M_LIN, multiplier_bounds,
+                                   zero_multipliers)
 from edgemarket.lp_core import LE, MilpConfig, solve_lp
 from edgemarket.model import leader_profit, validate_instance
 from edgemarket.oracle import brute_force_bilevel, compare
@@ -195,6 +196,63 @@ def test_slack_rows_are_the_primal_rows_negated(inst):
             assert model.variables[vid].name == prefix + index
             assert rest[vid] == 1.0 and row.rhs == 0.0
     assert seen == len(lay.pairs) > 0
+
+
+# The multiplier family each ``ccNm`` row bounds.
+TABLE_OF_PAIR = {"cc1m": "tau", "cc2m": "mu1", "cc3m": "lam", "cc4m": "gamma",
+                 "cc5m": "eta", "cc6m": "mu2", "cc7m": "zeta", "cc8m": "eps"}
+TABLE_CASES = ([tiny_instance(s) for s in range(4)]
+               + [tight_budget(tiny_instance(s)) for s in range(4)]
+               + [DESK[0]])
+
+
+@pytest.mark.parametrize("build", [build_p1, build_p2], ids=["p1", "p2"])
+@pytest.mark.parametrize("inst", TABLE_CASES,
+                         ids=[f"tiny{s}" for s in range(4)]
+                         + [f"tight{s}" for s in range(4)] + ["desk0"])
+def test_multiplier_constants_are_their_table_entries(build, inst):
+    """Each table entry of ``multiplier_bounds`` is 0 exactly where
+    ``zero_multipliers`` proves its multiplier 0, and every
+    multiplier-side constant is its entry: each ``ccNm`` row's switch
+    coefficient and right-hand side, each ``piub1`` coefficient on ``r``,
+    each ``gub1``/``glb`` coefficient on ``t``, and the upper bound of a
+    ``mu2`` or ``eta`` column, 0 where its entry is 0 and unbounded
+    elsewhere. ``tau``'s columns stay unbounded."""
+    table = multiplier_bounds(inst, M_LIN)
+    proven = dict(zip(("mu2", "eta", "tau"), zero_multipliers(inst)))
+    for sym, entries in table.items():
+        assert ((entries == 0) == proven.get(sym, False)).all(), sym
+    model, lay = build(inst, M_LIN)
+    ub = np.array([v.ub for v in model.variables])
+    for sym in ("mu2", "eta"):
+        assert (ub[getattr(lay, sym)] == np.where(table[sym] > 0, np.inf,
+                                                  0.0)).all()
+    assert (ub[lay.tau] == np.inf).all()
+
+    entry_of = {int(vid): (sym, table[sym][index]) for sym in table
+                for index, vid in np.ndenumerate(getattr(lay, sym))}
+    switches = {s for s, _ in lay.pairs}
+    seen = 0
+    for row in model.constraints:
+        family, index = row.name.split("_", 1)
+        if family in TABLE_OF_PAIR:
+            (switch,) = [vid for vid in row.coeffs if vid in switches]
+            (mult,) = [vid for vid in row.coeffs if vid != switch]
+            assert entry_of[mult] == (TABLE_OF_PAIR[family], row.rhs)
+            assert row.coeffs[mult] == 1.0 and row.coeffs[switch] == row.rhs
+            seen += 1
+        elif family == "piub1":
+            j, v, k = map(int, index.split("_"))
+            assert row.coeffs[lay.r[j, v]] == -table["mu2"][k]
+            seen += 1
+        elif family in ("gub1", "glb"):
+            j, k = map(int, index.split("_"))
+            bound = table["gamma"][j, k]
+            assert (row.coeffs[lay.t[j, k]], row.rhs) == (
+                (-bound, 0.0) if family == "gub1" else (bound, bound))
+            seen += 1
+    N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
+    assert seen == len(lay.pairs) + N * V * K + 2 * N * K
 
 
 def test_both_builders_write_the_same_revenue_hull():
