@@ -196,7 +196,7 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every instance invariant; returns diagnostics, never raises."""
     rep = ValidationReport()
-    for key, attr in _JSON_FIELDS[:4]:
+    for key, attr in _JSON_FIELDS[:4]:   # the dimension counts
         if getattr(inst, attr) < 1:
             rep.add(f"{key} must be at least 1, got {getattr(inst, attr)}")
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
