@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -103,8 +103,6 @@ class MilpLayout:
     g: np.ndarray           # (N, K) t * gamma
     rev: np.ndarray         # (K,) edge revenue
     h: np.ndarray           # (N, V, K) shares of y, from add_revenue_hull
-    # P1's complementarity pairs as (switch, multiplier)
-    pairs: List[Tuple[int, int]] = field(default_factory=list)
 
 M_LIN = 10.0   # starting multiplier scale: ten times each multiplier's unit
 
@@ -550,8 +548,8 @@ def extract_solution(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     return ld, followers, duals
 
 
-def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
-                  m_lin: float) -> List[str]:
+def validate_bigM(inst: Instance, model: LinearModel, lay: MilpLayout,
+                  sol: MilpSolution, m_lin: float) -> List[str]:
     """Flag any multiplier within 1% of its entry of the
     ``multiplier_bounds`` table at ``m_lin``.
 
@@ -563,7 +561,7 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     point: a constant that cuts off a better leader decision leaves no
     trace here. Works for both builders: mu2 and Gamma, which bound
     P2's products too, are checked for both; the multipliers of P1's
-    complementarity pairs only when ``lay.pairs`` is not empty.
+    complementarity pairs only when ``model.pairs`` is not empty.
 
     An entry of 0 is never flagged: it is a proof of
     ``zero_multipliers``, which cuts nothing off and which no escalation
@@ -579,7 +577,7 @@ def validate_bigM(inst: Instance, lay: MilpLayout, sol: MilpSolution,
     x = sol.x
     placed = x[lay.t] > 0.5
     checks = [("mu2", True, "mu2"), ("gamma", placed, "Gamma")]
-    if lay.pairs:
+    if model.pairs:
         demand = inst.demand > 0
         checks += [("tau", demand, "tau"), ("zeta", demand, "zeta"),
                    ("mu1", True, "mu1"), ("lam", placed, "lambda"),
@@ -623,7 +621,8 @@ def solve_reformulation(build: Callable, extract: Callable,
     the multiplier scale ``M_LIN`` and raising it tenfold (at most
     ``MAX_ESCALATIONS`` times) while ``validate`` flags a constant.
     ``build(m_lin)`` returns ``(model, layout)``, ``extract(layout, sol)``
-    the decision objects and ``validate(layout, sol, m_lin)`` the flags.
+    the decision objects and ``validate(model, layout, sol, m_lin)`` the
+    flags.
     ``config.time_limit`` bounds the whole call, escalations included."""
     config = config or MilpConfig()
     until = lp_core.deadline(config)
@@ -636,7 +635,7 @@ def solve_reformulation(build: Callable, extract: Callable,
             return ReformResult(sol.status, None, None, None, None, sol,
                                 m_lin, escalation, flags)
         leader, followers, duals = extract(lay, sol)
-        binding = validate(lay, sol, m_lin)
+        binding = validate(model, lay, sol, m_lin)
         if not binding:
             return ReformResult(sol.status, sol.objective, leader, followers,
                                 duals, sol, m_lin, escalation, flags)

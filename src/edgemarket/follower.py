@@ -33,7 +33,7 @@ class FollowerInfeasibleError(Exception):
     def __init__(self, k: int, family: str, detail: str = ""):
         self.k = k
         self.family = family
-        super().__init__(f"follower {k} infeasible (dominant violation: {family})"
+        super().__init__(f"follower {k} infeasible (cause: {family})"
                          + (f": {detail}" if detail else ""))
 
 
@@ -196,12 +196,42 @@ def build_follower_dual(ctx: FollowerContext) -> Tuple[LinearModel, dict]:
     return m, ids
 
 
-_FAMILIES = ("demand balance", "procurement coverage", "capacity",
-             "eligibility", "budget", "delay definition", "delay cap")
+_FAMILIES = ("delay cap", "budget", "capacity", "eligibility",
+             "procurement coverage", "delay definition", "demand balance")
+# The service's own limits, lifted one at a time to find what made the
+# LP infeasible. The other families are structural: without the demand
+# balance, say, an empty allocation meets every row, so lifting one
+# would always restore feasibility and name nothing.
+_LIMITS = _FAMILIES[:4]
 _FAMILY_OF_PREFIX = {"bal": "demand balance", "cov": "procurement coverage",
                      "cov0": "procurement coverage", "cap": "capacity",
                      "elig": "eligibility", "budget": "budget",
                      "ddef": "delay definition", "dcap": "delay cap"}
+
+
+def _infeasible_family(primal: LinearModel) -> str:
+    """The row family that makes the follower LP ``primal`` infeasible:
+    the first of ``_LIMITS`` whose rows, lifted alone, make it feasible.
+    Where no one limit does, the family that carries the most of the
+    least total row violation (HiGHS's feasibility relaxation), a tie
+    going to the first in ``_FAMILIES``, or "unknown" if HiGHS fails.
+    The relaxation alone weighs a unit of workload, a ms of delay and a
+    unit of money alike, so it named the demand balance where a delay
+    cap was the cause."""
+    family_of = [_FAMILY_OF_PREFIX[row.name.split("_")[0]]
+                 for row in primal.constraints]
+    first = lp_core.first_feasible_lift(
+        primal, [[row for row, f in enumerate(family_of) if f == family]
+                 for family in _LIMITS])
+    if first is not None:
+        return _LIMITS[first]
+    gaps = lp_core.row_violations(primal)
+    if gaps is None:
+        return "unknown"
+    totals = dict.fromkeys(_FAMILIES, 0.0)
+    for family, gap in zip(family_of, gaps.tolist()):
+        totals[family] += gap
+    return max(totals, key=totals.get)
 
 
 def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution]:
@@ -213,22 +243,15 @@ def solve_follower(ctx: FollowerContext) -> Tuple[FollowerSolution, DualSolution
     ``xi`` and ``sigma`` are the equality rows' duals as they stand. The
     multipliers without a row of their own (tau, zeta, eps) are then
     computed as the exact slacks of the corresponding dual rows, so the
-    stationarity identities hold to machine precision.
+    stationarity identities hold to machine precision. An infeasible LP
+    raises FollowerInfeasibleError naming ``_infeasible_family``.
     """
     inst, k = ctx.inst, ctx.k
     M, N = inst.num_aps, inst.num_ens
     primal, cols = build_follower_lp(ctx)
     psol = lp_core.solve_lp(primal)
     if psol.status != lp_core.OPTIMAL:
-        # Name the family that carries the most of the least total row
-        # violation; a tie goes to the first in _FAMILIES.
-        gaps, family = lp_core.row_violations(primal), "unknown"
-        if gaps is not None:
-            totals = dict.fromkeys(_FAMILIES, 0.0)
-            for row, gap in zip(primal.constraints, gaps.tolist()):
-                totals[_FAMILY_OF_PREFIX[row.name.split("_")[0]]] += gap
-            family = max(totals, key=totals.get)
-        raise FollowerInfeasibleError(k, family)
+        raise FollowerInfeasibleError(k, _infeasible_family(primal))
     x = psol.x
     fs = FollowerSolution(
         x_cloud=x[cols.x0],

@@ -16,6 +16,8 @@ MILPs are solved with an embedded best-first branch-and-bound over
 those relaxations (``solve_milp``), which starts each node from its
 parent's basis and branches on one-hot rows as sets, or with HiGHS' own
 branch-and-bound through the same binding, loaded by the same code.
+A model with enough complementarity switches (``LinearModel.pairs``)
+starts that search from the leader decision of its switch relaxation.
 That MIP search runs with HiGHS's RINS and RENS sub-MIP heuristics off:
 on these models they spent most of the search's LP iterations and found
 none of its incumbents. Feasibility jump and the root reduced-cost
@@ -170,7 +172,10 @@ class LinearModel:
     """Sparse LP/MILP container with named variables and constraints.
 
     Change a model only through its methods: each one drops the compiled
-    form that the solvers reuse.
+    form that the solvers reuse. ``pairs`` is the exception: a builder
+    appends to it each complementarity pair it linearizes, as (binary
+    switch, multiplier column). It is not part of the compiled form;
+    ``solve_milp``'s ``highs`` backend reads the switches from it.
     """
 
     def __init__(self, name: str = "model", sense: str = "max"):
@@ -181,6 +186,7 @@ class LinearModel:
         self.variables: List[_Var] = []
         self.constraints: List[_Constr] = []
         self.objective: Dict[int, float] = {}
+        self.pairs: List[Tuple[int, int]] = []
         self._compiled: Optional[_Compiled] = None
 
     # -- building -----------------------------------------------------
@@ -281,7 +287,9 @@ class MilpSolution:
     """A solve's outcome. ``x`` is the point, one value per variable id,
     or None when the solve found none; a layout's id arrays index it
     directly. ``relative_gap`` is None without a point, since with no
-    incumbent the gap is unknown. ``constraint_duals``, one per row in
+    incumbent the gap is unknown. ``nodes_explored`` sums the nodes of
+    every search the solve ran: each polishing round, and on ``highs``
+    both runs of a seeded round. ``constraint_duals``, one per row in
     model order, come from ``solve_lp`` only."""
 
     status: str
@@ -433,6 +441,32 @@ def row_violations(m: LinearModel) -> Optional[np.ndarray]:
     return gaps
 
 
+def first_feasible_lift(m: LinearModel,
+                        groups: List[List[int]]) -> Optional[int]:
+    """The index of the first of ``groups``, each a list of model rows,
+    whose rows made free leave the LP relaxation of ``m`` feasible, or
+    None if none does. Each group is lifted alone and put back before
+    the next, on a fresh HiGHS instance, so the one ``solve_lp`` keeps
+    for hot starts is untouched. A run HiGHS leaves unresolved counts
+    as still infeasible."""
+    cm = m._compiled_form()
+    h = _new_highs(cm, cm.col_lo, cm.col_hi)
+    position = np.empty(m.num_constrs, np.int32)
+    position[cm.row_order] = np.arange(m.num_constrs)
+    feasible = (_highs.HighsModelStatus.kOptimal,
+                _highs.HighsModelStatus.kUnbounded)
+    for index, rows in enumerate(groups):
+        at = position[rows].tolist()
+        for row in at:
+            h.changeRowBounds(row, -math.inf, math.inf)
+        h.run()
+        if h.getModelStatus() in feasible:
+            return index
+        for row in at:
+            h.changeRowBounds(row, cm.row_lo[row], cm.row_hi[row])
+    return None
+
+
 @dataclass
 class MilpConfig:
     gap_tol: float = 1e-6
@@ -496,10 +530,27 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     error, or any status other than optimal, infeasible, unbounded or a
     time, node or iteration limit, raises RuntimeError naming it.
 
+    A model whose ``pairs`` hold at least ``_SEED_FLOOR`` complementarity
+    switches, such as P1 above tiny size, is solved in two HiGHS runs.
+    The first solves the same model with only the switches continuous,
+    to the same gap and options. Its other binaries, rounded, are then
+    handed to the real search as a partial start (``setSolution``), which
+    HiGHS completes or ignores; guiding a search by a relaxation's point
+    is standard MIP practice (Danna, Rothberg & Le Pape 2005). The start
+    is only a hint: status, objective and bound come from the full
+    model. Where the first run stops at a limit or finds no point, the
+    search runs cold. Cold, HiGHS found no incumbent for desk-size P1
+    (seed 0) until node 22, after 0.9 s; seeded, P1 on desk seeds 0-2
+    took 40% less time over four HiGHS random seeds. Smaller models
+    make the one run they always did. ``nodes_explored`` counts the
+    nodes of both runs.
+
     ``cfg.time_limit`` bounds the whole call: each polishing round gets
-    only the time left of it. A round after a no-good cut that runs out
-    of time returns the best polished candidate so far as ``time-limit``,
-    its gap measured to the least bound any round proved.
+    only the time left of it, and on ``highs`` a round's relaxation run
+    shares that time with its search. A round after a no-good cut that
+    runs out of time returns the best polished candidate so far as
+    ``time-limit``, its gap measured to the least bound any round
+    proved.
     """
     cfg = cfg or MilpConfig()
     m.validate()
@@ -801,6 +852,51 @@ _MIP_STATUS = {
 _FEASIBLE = int(_highs.kSolutionStatusFeasible)
 
 
+# A model with at least this many complementarity switches starts its
+# search from the leader decision of its switch relaxation. Below it
+# the relaxation costs more than it saves: tiny P1 has at most 48
+# switches, and on tiny seeds 0-19 (best of 3 passes) its MILPs took
+# 0.45 s seeded, 0.16 s of it in the relaxation, against 0.37 s cold.
+_SEED_FLOOR = 64
+
+
+def _run_mip(h: _highs._Highs, options: Dict[str, object],
+             until: Optional[float]) -> _highs.HighsStatus:
+    """One HiGHS MIP run with ``options`` and the time left before
+    ``until``, its chatter sent to the log."""
+    if until is not None:
+        options["time_limit"] = max(0.0, until - time.perf_counter())
+    _set_options(h, options)
+    with _stdout_to_log():
+        return h.run()
+
+
+def _relaxation_start(h: _highs._Highs, cm: _Compiled, switches: np.ndarray,
+                      options: Dict[str, object], until: Optional[float]
+                      ) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]], int]:
+    """Solve ``h``'s MIP with only the ``switches`` continuous, then
+    make them integer again. Returns the other binaries of its optimum,
+    rounded, as (ids, values), or None if the run stopped at a limit or
+    found no point; and the nodes it explored."""
+    def kinds(kind):
+        return np.full(len(switches), int(kind), np.uint8)
+
+    h.changeColsIntegrality(len(switches), switches,
+                            kinds(_highs.HighsVarType.kContinuous))
+    h.clearSolver()
+    _run_mip(h, dict(options), until)
+    info = h.getInfo()
+    start = None
+    if (h.getModelStatus() == _M.kOptimal
+            and info.primal_solution_status == _FEASIBLE):
+        x = np.array(h.getSolution().col_value)
+        ids = np.setdiff1d(cm.binary, switches).astype(np.int32)
+        start = ids, np.round(x[ids])
+    h.changeColsIntegrality(len(switches), switches,
+                            kinds(_highs.HighsVarType.kInteger))
+    return start, int(info.mip_node_count)
+
+
 def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     until = deadline(cfg)
     cm = m._compiled_form()
@@ -808,16 +904,19 @@ def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     options = dict(_MIP_OPTIONS, mip_rel_gap=cfg.gap_tol)
     if cfg.node_limit is not None:
         options["mip_max_nodes"] = cfg.node_limit
+    start, nodes = None, 0
+    if len(m.pairs) >= _SEED_FLOOR:
+        switches = np.array(sorted(s for s, _ in m.pairs), np.int32)
+        start, nodes = _relaxation_start(h, cm, switches, options, until)
     # Presolve reports an unbounded relaxation as unbounded-or-infeasible;
-    # a second run without it tells the two apart.
+    # a second run without it tells the two apart. ``clearSolver`` drops
+    # a start set before it, so the start is set after.
     for retry in ({}, {"presolve": "off"}):
         options.update(retry)
-        if until is not None:
-            options["time_limit"] = max(0.0, until - time.perf_counter())
-        _set_options(h, options)
         h.clearSolver()
-        with _stdout_to_log():
-            run_status = h.run()
+        if start is not None:
+            h.setSolution(len(start[0]), *start)
+        run_status = _run_mip(h, options, until)
         model_status = h.getModelStatus()
         if model_status != _M.kUnboundedOrInfeasible:
             break
@@ -826,7 +925,7 @@ def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
         raise RuntimeError("MILP solve failed: HiGHS model status "
                            f"{h.modelStatusToString(model_status)}")
     info = h.getInfo()
-    nodes = int(info.mip_node_count)
+    nodes += int(info.mip_node_count)
     if status == UNBOUNDED:
         return MilpSolution(UNBOUNDED,
                             math.inf if m.obj_sense == "max" else -math.inf,

@@ -104,5 +104,6 @@ def solve_p2(inst: Instance, config: Optional[MilpConfig] = None,
     return solve_reformulation(
         lambda m_lin: build_p2(inst, m_lin, scheme),
         lambda lay, sol: extract_solution_p2(inst, lay, sol),
-        lambda lay, sol, m_lin: validate_bigM(inst, lay, sol, m_lin),
+        lambda model, lay, sol, m_lin: validate_bigM(inst, model, lay, sol,
+                                                     m_lin),
         config)

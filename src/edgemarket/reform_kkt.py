@@ -12,9 +12,13 @@ and the multipliers ``_milp_base.zero_multipliers`` proves 0 (budget,
 eligibility, and the delay cap where every option of the AP meets it),
 whose entries of the ``multiplier_bounds`` table are 0. The pair and
 its switch are still written, and HiGHS's presolve removes what the 0
-settles. The bilinear price-times-budget-multiplier and
-placement-times-capacity-multiplier products are expanded over the
-one-hot price selection.
+settles. Each pair is recorded on the model itself, in
+``LinearModel.pairs``, as (switch, multiplier): ``validate_bigM`` reads
+there whether a model is P1, and ``lp_core.solve_milp``'s ``highs``
+backend reads the switches there, to start P1's search from the leader
+decision of the model with only the switches relaxed. The bilinear
+price-times-budget-multiplier and placement-times-capacity-multiplier
+products are expanded over the one-hot price selection.
 
 P1 also carries P2's dual rows and strong-duality equality: the
 ``revdef`` row of ``build_base`` and the price-times-procurement rows of
@@ -41,13 +45,14 @@ from .lp_core import LE, EQ, LinearModel, MilpConfig, MilpSolution
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision)
 
 
-def _add_pair(m: LinearModel, lay: MilpLayout, family: str, index: str,
+def _add_pair(m: LinearModel, family: str, index: str,
               slack: Tuple[Dict[int, float], float], slack_ub: float,
               mult: int, mult_ub: float) -> None:
     """Write ``slack * mult = 0`` with one binary switch ``s``: the rows
     ``rhs - coeffs @ x <= slack_ub * s`` (``{family}s_{index}``) and
     ``mult <= mult_ub * (1 - s)`` (``{family}m_{index}``), where
-    ``slack`` is a ``<=`` row's ``(coeffs, rhs)``."""
+    ``slack`` is a ``<=`` row's ``(coeffs, rhs)``, and record the pair
+    ``(s, mult)`` in ``m.pairs``."""
     coeffs, rhs = slack
     s = m.add_var(f"{family}_{index}", binary=True)
     row = {vid: -c for vid, c in coeffs.items()}
@@ -55,7 +60,7 @@ def _add_pair(m: LinearModel, lay: MilpLayout, family: str, index: str,
     m.add_constr(row, LE, -rhs, name=f"{family}s_{index}")
     m.add_constr({mult: 1.0, s: mult_ub}, LE, mult_ub,
                  name=f"{family}m_{index}")
-    lay.pairs.append((s, mult))
+    m.pairs.append((s, mult))
 
 
 def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
@@ -116,30 +121,30 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
         # allocation column. The budget row's slack reads the revenue
         # variable, which ``revsum`` pins to the true edge spend.
         for i in range(M):
-            _add_pair(m, lay, "cc1", f"{i}_{k}", rows[f"dcap_{i}_{k}"],
+            _add_pair(m, "cc1", f"{i}_{k}", rows[f"dcap_{i}_{k}"],
                       delay_max, ids.tau[k][i], bounds["tau"][i, k])
-        _add_pair(m, lay, "cc2", str(k), rows[f"cov0_{k}"],
+        _add_pair(m, "cc2", str(k), rows[f"cov0_{k}"],
                   cloud_cov, ids.mu1[k], bounds["mu1"][k])
         for j in range(N):
-            _add_pair(m, lay, "cc3", f"{j}_{k}", rows[f"cov_{j}_{k}"],
+            _add_pair(m, "cc3", f"{j}_{k}", rows[f"cov_{j}_{k}"],
                       edge_cov[j], ids.lam[k][j], bounds["lam"][j, k])
         for j in range(N):
-            _add_pair(m, lay, "cc4", f"{j}_{k}", rows[f"cap_{j}_{k}"],
+            _add_pair(m, "cc4", f"{j}_{k}", rows[f"cap_{j}_{k}"],
                       capacity, ids.gamma[k][j], bounds["gamma"][j, k])
         for i in range(M):
             for j in range(N):
-                _add_pair(m, lay, "cc5", f"{i}_{j}_{k}",
+                _add_pair(m, "cc5", f"{i}_{j}_{k}",
                           rows[f"elig_{i}_{j}_{k}"], ap_demand,
                           ids.eta[k][i][j], bounds["eta"][i, j, k])
-        _add_pair(m, lay, "cc6", str(k), rows[f"budget_{k}"], budget,
+        _add_pair(m, "cc6", str(k), rows[f"budget_{k}"], budget,
                   ids.mu2[k], bounds["mu2"][k])
         for i in range(M):
-            _add_pair(m, lay, "cc7", f"{i}_{k}",
+            _add_pair(m, "cc7", f"{i}_{k}",
                       ({ids.x_cloud[k][i]: -1.0}, 0.0),
                       ap_demand, ids.zeta[k][i], bounds["zeta"][i, k])
         for i in range(M):
             for j in range(N):
-                _add_pair(m, lay, "cc8", f"{i}_{j}_{k}",
+                _add_pair(m, "cc8", f"{i}_{j}_{k}",
                           ({ids.x_edge[k][i][j]: -1.0}, 0.0),
                           ap_demand, ids.eps[k][i][j], bounds["eps"][i, j, k])
     return m, lay
@@ -159,5 +164,6 @@ def solve_p1(inst: Instance, config: Optional[MilpConfig] = None,
     return solve_reformulation(
         lambda m_lin: build_p1(inst, m_lin, scheme),
         lambda lay, sol: extract_solution_p1(inst, lay, sol),
-        lambda lay, sol, m_lin: validate_bigM(inst, lay, sol, m_lin),
+        lambda model, lay, sol, m_lin: validate_bigM(inst, model, lay, sol,
+                                                     m_lin),
         config)

@@ -259,8 +259,8 @@ def test_criterion_08_bigm_soundness(tiny_runs):
         if r1.escalations > 1:
             failures.append(f"seed {seed}: {r1.escalations} escalations")
             continue
-        _, lay = build_p1(inst, r1.m_lin)
-        flags = validate_bigM(inst, lay, r1.milp, r1.m_lin)
+        model, lay = build_p1(inst, r1.m_lin)
+        flags = validate_bigM(inst, model, lay, r1.milp, r1.m_lin)
         if flags:
             failures.append(f"seed {seed}: {flags[0]}")
     report(8, "no binding big-M after at most one escalation", not failures,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from edgemarket import lp_core
 from edgemarket._milp_base import zero_multipliers
 from edgemarket.lp_core import MilpConfig
 from edgemarket.oracle import OracleResult, brute_force_bilevel
@@ -108,3 +109,22 @@ def test_restricted_schemes_match_oracle(seed):
             for backend in ("highs", "bnb"):
                 res = solve(inst, MilpConfig(backend=backend), scheme=scheme)
                 _assert_matches(res, oracle, (scheme, solve.__name__, backend))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_seeded_p1_matches_oracle(monkeypatch, seed):
+    """With ``_SEED_FLOOR`` at 0, P1/HiGHS starts every search from its
+    switch relaxation's leader decision even on tiny models. It still
+    finds the oracle's status and profit, plain and with a tight
+    budget, under each scheme."""
+    monkeypatch.setattr(lp_core, "_SEED_FLOOR", 0)
+    for inst in (tiny_instance(seed), tight_budget(tiny_instance(seed))):
+        oracle = brute_force_bilevel(inst)
+        _assert_matches(solve_p1(inst, CFG), oracle, "dyn")
+        for scheme in ("flat", "avg"):
+            allows = _scheme_allows(inst, scheme)
+            profits = [entry["profit"] for entry in oracle.log
+                       if "profit" in entry and allows(entry["levels"])]
+            _assert_matches(solve_p1(inst, CFG, scheme=scheme),
+                            OracleResult(max(profits, default=None), None,
+                                         None, 0), scheme)

@@ -143,6 +143,29 @@ def test_infeasibility_diagnosis_names_delay_cap():
         solve_follower(ctx)
 
 
+def test_infeasibility_diagnosis_names_a_delay_cap_the_relaxation_misses():
+    """Only the delay cap binds: the cap is below the cloud delay and no
+    EN is eligible, while the budget is ample. At the default demand
+    (20-35 per AP) HiGHS's feasibility relaxation drops a sixth of the
+    demand more cheaply than it stretches the cap by 10 ms, so it alone
+    blames the demand balance; lifting the cap alone restores
+    feasibility."""
+    inst = tiny_instance(6)
+    strict = dataclasses.replace(
+        inst, delay_cap=np.full(inst.num_services, 50.0),
+        eligible=np.zeros_like(inst.eligible))
+    ctx = FollowerContext(strict, 0, np.full(inst.num_ens, 0.03),
+                          np.ones(inst.num_ens, dtype=int))
+    primal, _ = build_follower_lp(ctx)
+    gaps = lp_core.row_violations(primal)
+    balance = sum(g for row, g in zip(primal.constraints, gaps)
+                  if row.name.startswith("bal_"))
+    assert balance > 0 and balance == pytest.approx(gaps.sum())
+    with pytest.raises(FollowerInfeasibleError,
+                       match=r"infeasible \(cause: delay cap\)$"):
+        solve_follower(ctx)
+
+
 def test_dual_objective_matches_explicit_dual_lp():
     from edgemarket import lp_core
     ctx = _ctx(2)

@@ -36,8 +36,8 @@ def test_binary_count_formula():
 
 def test_p2_has_no_complementarity_switches():
     inst = tiny_instance(0)
-    _, lay = build_p2(inst)
-    assert lay.pairs == []
+    model, _ = build_p2(inst)
+    assert model.pairs == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4, 5])
@@ -297,15 +297,13 @@ def test_layout_ids_name_their_own_symbol_and_index(build, inst):
     model, lay = build(inst)
     seen = set()
     for f in dataclasses.fields(lay):
-        if f.name == "pairs":
-            continue
         for index, vid in np.ndenumerate(getattr(lay, f.name)):
             assert 0 <= vid < model.num_vars
             assert model.variables[vid].name == "_".join(
                 [_PREFIX.get(f.name, f.name), *map(str, index)])
             seen.add(vid)
     # Every column but P1's switches is a layout symbol, named once.
-    assert len(seen) == model.num_vars - len(lay.pairs)
+    assert len(seen) == model.num_vars - len(model.pairs)
 
 
 @pytest.mark.parametrize("solve, build", [(solve_p1, build_p1),

@@ -2,10 +2,12 @@
 and solution extraction integrity."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
+from edgemarket import lp_core
 from edgemarket._milp_base import (M_LIN, multiplier_bounds,
                                    zero_multipliers)
 from edgemarket.lp_core import LE, MilpConfig, solve_lp
@@ -33,8 +35,8 @@ def test_binary_count_formula():
 
 def _slack_side_constants(inst, families):
     """{row name: its switch's coefficient} of P1's rows of ``families``."""
-    model, lay = build_p1(inst)
-    switches = {s for s, _ in lay.pairs}
+    model, _ = build_p1(inst)
+    switches = {s for s, _ in model.pairs}
     out = {}
     for row in model.constraints:
         if row.name.split("_")[0] in families:
@@ -174,9 +176,9 @@ PRIMAL_OF_PAIR = {"cc1s": "dcap", "cc2s": "cov0", "cc3s": "cov",
 def test_slack_rows_are_the_primal_rows_negated(inst):
     """Each ``ccNs`` row is its primal ``<=`` row, negated, plus its
     switch; ``cc7s``/``cc8s`` hold one allocation column and the switch."""
-    model, lay = build_p1(inst)
+    model, _ = build_p1(inst)
     rows = {r.name: r for r in model.constraints}
-    switches = {s for s, _ in lay.pairs}
+    switches = {s for s, _ in model.pairs}
     seen = 0
     for name, row in rows.items():
         family, index = name.split("_", 1)
@@ -195,7 +197,7 @@ def test_slack_rows_are_the_primal_rows_negated(inst):
             prefix = {"cc7s": "x0_", "cc8s": "x_"}[family]
             assert model.variables[vid].name == prefix + index
             assert rest[vid] == 1.0 and row.rhs == 0.0
-    assert seen == len(lay.pairs) > 0
+    assert seen == len(model.pairs) > 0
 
 
 # The multiplier family each ``ccNm`` row bounds.
@@ -231,7 +233,7 @@ def test_multiplier_constants_are_their_table_entries(build, inst):
 
     entry_of = {int(vid): (sym, table[sym][index]) for sym in table
                 for index, vid in np.ndenumerate(getattr(lay, sym))}
-    switches = {s for s, _ in lay.pairs}
+    switches = {s for s, _ in model.pairs}
     seen = 0
     for row in model.constraints:
         family, index = row.name.split("_", 1)
@@ -252,7 +254,7 @@ def test_multiplier_constants_are_their_table_entries(build, inst):
                 (-bound, 0.0) if family == "gub1" else (bound, bound))
             seen += 1
     N, K, V = inst.num_ens, inst.num_services, inst.num_price_levels
-    assert seen == len(lay.pairs) + N * V * K + 2 * N * K
+    assert seen == len(model.pairs) + N * V * K + 2 * N * K
 
 
 def test_both_builders_write_the_same_revenue_hull():
@@ -324,14 +326,14 @@ def test_validate_bigm_clean_at_solution():
     res = solve_p1(inst, CFG)
     assert res.escalations == 0
     model, lay = build_p1(inst, res.m_lin)
-    assert validate_bigM(inst, lay, res.milp, res.m_lin) == []
+    assert validate_bigM(inst, model, lay, res.milp, res.m_lin) == []
 
 
 def test_validate_bigm_flags_small_constants():
     inst = tiny_instance(0)
     res = solve_p1(inst, CFG)
-    _, lay = build_p1(inst, res.m_lin)
-    flags = validate_bigM(inst, lay, res.milp, 1e-9 * res.m_lin)
+    model, lay = build_p1(inst, res.m_lin)
+    flags = validate_bigM(inst, model, lay, res.milp, 1e-9 * res.m_lin)
     assert flags   # everything nonzero is now at/above the tiny constants
 
 
@@ -357,3 +359,68 @@ def test_extract_rejects_unsolved():
     from edgemarket.lp_core import MilpSolution
     with pytest.raises(ValueError):
         extract_solution_p1(inst, lay, MilpSolution("infeasible", float("nan")))
+
+
+def _count_mip_runs(monkeypatch):
+    """Count the HiGHS MIP runs and the polishing rounds of the solves
+    that follow: {"runs": ..., "rounds": ...}."""
+    counts = {"runs": 0, "rounds": 0}
+    new_highs, solve_highs = lp_core._new_highs, lp_core._solve_milp_highs
+
+    class Counted:
+        def __init__(self, h):
+            self._h = h
+
+        def __getattr__(self, name):
+            return getattr(self._h, name)
+
+        def run(self):
+            counts["runs"] += 1
+            return self._h.run()
+
+    def counted_highs(*args, integer=False):
+        h = new_highs(*args, integer=integer)
+        return Counted(h) if integer else h
+
+    def counted_round(m, cfg):
+        counts["rounds"] += 1
+        return solve_highs(m, cfg)
+
+    monkeypatch.setattr(lp_core, "_new_highs", counted_highs)
+    monkeypatch.setattr(lp_core, "_solve_milp_highs", counted_round)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tiny_p1_below_the_seed_floor_makes_one_mip_run_per_round(
+        monkeypatch, seed):
+    """Tiny P1 has fewer switches than ``_SEED_FLOOR``, so each polishing
+    round makes exactly one HiGHS MIP run, as without seeding; with the
+    floor at 0 each round first runs the switch relaxation."""
+    inst = tiny_instance(seed)
+    model, _ = build_p1(inst)
+    assert 0 < len(model.pairs) < lp_core._SEED_FLOOR
+    counts = _count_mip_runs(monkeypatch)
+    cold = solve_p1(inst, CFG)
+    assert counts["runs"] == counts["rounds"] >= 1
+    monkeypatch.setattr(lp_core, "_SEED_FLOOR", 0)
+    counts.update(runs=0, rounds=0)
+    seeded = solve_p1(inst, CFG)
+    assert counts["runs"] == 2 * counts["rounds"] >= 2
+    assert seeded.status == cold.status
+
+
+@pytest.mark.parametrize("limit", [0.2, 0.6])
+def test_seeded_solve_keeps_its_time_limit(limit):
+    """Desk P1 has 224 switches, so its search is seeded. The relaxation
+    shares the solve's time limit: at 0.2 s it runs out there and the
+    solve stops cold; at 0.6 s the seeded search runs out. Either way
+    the call returns within the limit plus 0.5 s of slack for HiGHS's
+    checks between iterations and the polishing LP."""
+    model, _ = build_p1(DESK[0])
+    assert len(model.pairs) >= lp_core._SEED_FLOOR
+    t0 = time.perf_counter()
+    sol = lp_core.solve_milp(model, MilpConfig(backend="highs", gap_tol=1e-4,
+                                               time_limit=limit))
+    assert time.perf_counter() - t0 <= limit + 0.5
+    assert sol.status in ("time-limit", "optimal")
