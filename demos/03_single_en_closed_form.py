@@ -1,17 +1,21 @@
 """The single-EN market has a closed form; check it against the MILP.
 
-With one EN, a service's best response is a continuous knapsack: offload
-the APs whose per-unit delay saving beats the price premium, in saving
-order, until capacity or budget runs out. The platform then enumerates
-every grid price and every set of services to place, and keeps the most
-profitable set that fits the EN. Two regimes appear: pricing at or below
-the cloud price captures all eligible workload (case 1); pricing above
-it keeps only the delay-sensitive APs (case 2).
+With one EN, a service's best response is a continuous knapsack: each
+AP's workload sent to the EN lies in a box set by its demand,
+eligibility and delay cap, and their sum is bounded by the EN's
+capacity and the service's budget. Filling from the APs with the best
+delay saving per price premium is optimal, so the follower's optimal
+cost is attained on an interval of total EN workload. The platform then
+enumerates every grid price and every set of services to place, takes
+the most (or least) workload each interval allows, as its per-unit
+margin is positive (or not), and keeps the most profitable set that fits
+the EN. Two regimes appear: pricing at or below the cloud price (case
+1) and above it (case 2).
 
-The greedy response is exact only where no delay cap or budget can bind
-against it. Outside that scope the closed form refuses with ValueError
-rather than answer: the demo shows this on a copy of its instance whose
-delay caps fall below the cloud delay.
+The closed form stays exact where delay caps and budgets bind: the demo
+ends on a copy of its instance in which service 0's delay cap falls
+below the cloud delay, so every AP must move workload to the EN and
+the service's optimum splits some APs' workload between EN and cloud.
 """
 
 import dataclasses
@@ -44,11 +48,16 @@ print(f"duality MILP:              profit {milp.objective:.9f}")
 assert abs(res.profit - milp.objective) <= 1e-6 * (1 + abs(milp.objective))
 print("closed form and MILP agree to 1e-6 relative")
 
-tight = dataclasses.replace(
-    inst, delay_cap=np.full(inst.num_services, 0.9 * inst.delay_cloud.min()))
-try:
-    solve_single_en(tight)
-except ValueError as exc:
-    print(f"\ndelay caps below the cloud delay: refused ({exc})")
-else:
-    raise AssertionError("the closed form answered outside its scope")
+cap = inst.delay_cap.copy()
+cap[0] = 0.9 * inst.delay_cloud.min()
+tight = dataclasses.replace(inst, delay_cap=cap)
+res = solve_single_en(tight)
+milp = solve_p2(tight, MilpConfig(backend="highs"))
+print(f"\nservice 0's delay cap at {cap[0]:.1f} ms, below the cloud delay:")
+print(f"  service 0 sends {res.followers[0].x_edge.ravel().round(3).tolist()} "
+      f"of {tight.demand[:, 0].round(3).tolist()} to the EN")
+print(f"closed form: case {res.case}, price {res.price}, "
+      f"placed {res.placed.tolist()}, profit {res.profit:.9f}")
+print(f"duality MILP:              profit {milp.objective:.9f}")
+assert abs(res.profit - milp.objective) <= 1e-6 * (1 + abs(milp.objective))
+print("closed form and MILP agree to 1e-6 relative")

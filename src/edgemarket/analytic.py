@@ -1,32 +1,51 @@
 """Closed-form solver for the single-EN special case.
 
-With one EN, a service's best response has a greedy closed form, so the
-platform enumerates every grid price and every set of services to place
-(2^K sets). A placed service answers greedily, an unplaced one with the
-all-cloud response; a set is playable when every response exists and
-the placed services fit within the EN's storage and capacity. Ties go to
-the first candidate in (grid price, set) order, sets in
-``itertools.product`` order as the oracle's placements: a later one wins
-only by more than ``_TOL``. A chosen price at or below the cloud price
-attracts all eligible workload (Case 1); a higher one only APs whose
-delay saving beats the premium, capped by the budget (Case 2).
+With one EN, service k's follower problem at EN price p is a continuous
+knapsack in x_i, AP i's workload sent to the EN, and X, their sum. Its
+cost is a constant plus ``sum_i a_i x_i`` with
+``a_i = p - c0 + w (d1_i - d0_i)``; the delay cap, eligibility and
+demand bound each x_i in a box, and the EN capacity ``C t`` and the
+budget bound X. Filling from the lowest ``a_i`` up is optimal, so the
+optimal cost is attained exactly on an interval ``[X_lo, X_hi]`` of X,
+whatever binds. An unplaced service is the same knapsack with capacity 0.
 
-The greedy response is exact only where no delay cap or budget can bind
-against it; ``solve_single_en`` checks that scope on entry, from the
-data alone, and raises ``ValueError`` outside it.
+The platform enumerates every grid price and every set of services to
+place (2^K sets). A set is playable when every service has a response,
+the set fits the EN's storage, and ``sum_k X_lo,k <= C``. Every unit
+earns the same margin ``p - vc/C``, so the optimistic leader takes
+``sum_k X_lo,k`` where that margin is at most 0 and
+``min(C, sum_k X_hi,k)`` otherwise, split across services in index
+order. Ties go to the first candidate in (grid price, set) order, sets
+in ``itertools.product`` order as the oracle's placements: a later one
+wins only by more than ``_TOL``. A chosen price at or below the cloud
+price is Case 1, where offloading saves money and the budget can only
+force workload onto the EN; a higher one is Case 2, where the services
+pay a premium for the EN's delay and the budget caps what they offload.
+
+The module reads only ``model``: it writes no LP and shares no rows
+with the reformulations, so it stays an independent reference.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from .model import FollowerSolution, Instance
 
 _TOL = 1e-9
+
+
+class _Face(NamedTuple):
+    """A service's follower-optimal face: ``respond(X)`` is an optimal
+    allocation sending X in [lo, hi] to the EN, and its ``cost`` is the
+    optimal cost."""
+    lo: float
+    hi: float
+    respond: Callable[[float], FollowerSolution]
 
 
 @dataclass
@@ -45,96 +64,70 @@ def _require_single_en(inst: Instance):
         raise ValueError(f"analytic solver requires N=1, got {inst.num_ens}")
 
 
-def _require_greedy_scope(inst: Instance):
-    """Raise ValueError where a greedy response may not be the follower's
-    optimum: an AP with demand whose cloud or eligible EN delay misses
-    the service's delay cap, so that the cap may force a split; or a grid
-    price below the cloud price while some service cannot afford the
-    all-cloud response, so that the budget may force an offload."""
-    _require_single_en(inst)
-    misses = (inst.delay_cloud[:, None] > inst.delay_cap + _TOL) | (
-        (inst.eligible[:, 0, :] > 0)
-        & (inst.delay_edge[:, [0]] > inst.delay_cap + _TOL))
-    bad = np.argwhere((inst.demand > 0) & misses)
-    if bad.size:
-        i, k = bad[0]
-        raise ValueError(f"closed form out of scope: AP {i} misses the delay "
-                         f"cap of service {k} on the cloud or its EN")
-    broke = np.flatnonzero(inst.cloud_price * inst.demand.sum(axis=0)
-                           > inst.budget + _TOL)
-    if broke.size and np.any(inst.price_grid[0] < inst.cloud_price):
-        raise ValueError(f"closed form out of scope: service {broke[0]} "
-                         "cannot afford the cloud and a grid price is below it")
+def _fill(width: np.ndarray, amount: float) -> np.ndarray:
+    """``amount`` split over slots of ``width`` in order, each slot
+    filled before the next."""
+    return np.clip(amount - (np.cumsum(width) - width), 0.0, width)
 
 
-def _cloud_solution(inst: Instance, k: int) -> Optional[FollowerSolution]:
-    """All-cloud response; None when it exceeds the budget. The scope
-    check has already refused a cloud delay above a delay cap."""
-    R = inst.demand[:, k]
-    total = float(R.sum())
-    if inst.cloud_price * total > inst.budget[k] + _TOL:
+def _knapsack(inst: Instance, k: int, p: float, cap: float) -> Optional[_Face]:
+    """Service k's optimal face at EN price ``p`` and EN capacity ``cap``;
+    None when no allocation is feasible."""
+    c0, w = inst.cloud_price, inst.delay_weight[k]
+    R, d0, d1 = inst.demand[:, k], inst.delay_cloud, inst.delay_edge[:, 0]
+    # Delay cap: d0 R + (d1 - d0) x <= cap R, a bound on x on the side
+    # of the slower option; with equal delays it is met or infeasible.
+    slope, room = d1 - d0, (inst.delay_cap[k] - d0) * R
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = room / slope
+    lo = np.where(slope < 0, np.maximum(bound, 0.0), 0.0)
+    hi = np.minimum(np.where(slope > 0, bound, R), R * inst.eligible[:, 0, k])
+    if np.any(lo > hi + _TOL) or np.any((slope == 0) & (room < -_TOL)):
         return None
-    fs = FollowerSolution(
-        x_cloud=R.copy(), x_edge=np.zeros((inst.num_aps, 1)),
-        y_cloud=total, y_edge=np.zeros(1),
-        avg_delay=np.where(R > 0, inst.delay_cloud, 0.0), cost=0.0)
-    fs.cost = (inst.cloud_price * total
-               + inst.delay_weight[k] * float(R @ inst.delay_cloud))
-    return fs
+    lo = np.minimum(lo, hi)
+    # Budget: (p - c0) X <= B - c0 R_total.
+    head = inst.budget[k] - c0 * R.sum()
+    X_min, X_max = lo.sum(), min(hi.sum(), cap)
+    if p > c0:
+        X_max = min(X_max, head / (p - c0))
+    elif p < c0:
+        X_min = max(X_min, head / (p - c0))
+    elif head < -_TOL:
+        return None
+    if X_min > X_max + _TOL:
+        return None
+    X_max = max(X_max, X_min)
+
+    a = p - c0 + w * slope
+    order = np.argsort(a, kind="stable")
+    a, width = a[order], (hi - lo)[order]
+
+    def respond(X: float) -> FollowerSolution:
+        x = lo.copy()
+        x[order] += _fill(width, X - lo.sum())
+        x0 = R - x
+        da = np.divide(x0 * d0 + x * d1, R, out=np.zeros_like(R), where=R > 0)
+        return FollowerSolution(
+            x_cloud=x0, x_edge=x[:, None], y_cloud=float(x0.sum()),
+            y_edge=np.array([float(x.sum())]), avg_delay=da,
+            cost=c0 * float(x0.sum()) + p * float(x.sum())
+            + w * float(x0 @ d0 + x @ d1))
+
+    # The cost falls while a_i < 0 and is flat where a_i ties 0.
+    return _Face(
+        float(np.clip(lo.sum() + width[a < -_TOL].sum(), X_min, X_max)),
+        float(np.clip(lo.sum() + width[a <= _TOL].sum(), X_min, X_max)),
+        respond)
 
 
 def follower_best_response_single_en(inst: Instance, k: int, p1: float,
                                      ) -> Optional[FollowerSolution]:
-    """Greedy best response of service k when the single EN charges p1
-    and hosts the service; None when the response is infeasible.
-
-    The per-unit saving of moving AP i's workload to the EN is
-    w*(d0_i - d1_i) - (p1 - p0); offloading strictly-positive savers in
-    descending order, capped by the EN capacity and (when p1 > p0) by
-    the budget headroom, is the exact continuous-knapsack optimum within
-    the scope ``solve_single_en`` checks.
-    """
+    """Best response of service k when the single EN charges p1 and
+    hosts the service, at the least EN workload among the follower's
+    optima; None when the response is infeasible."""
     _require_single_en(inst)
-    p0, w = inst.cloud_price, inst.delay_weight[k]
-    R = inst.demand[:, k]
-    d1 = inst.delay_edge[:, 0]
-    elig = inst.eligible[:, 0, k]
-    total = float(R.sum())
-    M = inst.num_aps
-    premium = p1 - p0
-
-    remaining = float(inst.compute_cap[0])
-    if premium > _TOL:
-        if p0 * total > inst.budget[k] + _TOL:
-            # Offloading only raises spend: the cloud fallback is the
-            # cheapest allocation, and even it is unaffordable.
-            return None
-        remaining = min(remaining, (inst.budget[k] - p0 * total) / premium)
-    saving = w * (inst.delay_cloud - d1) - premium
-    x_edge = np.zeros(M)
-    for i in sorted(range(M), key=lambda i: (-saving[i], i)):
-        if remaining <= _TOL:
-            break
-        if not elig[i] or R[i] <= 0 or saving[i] <= _TOL:
-            continue
-        x_edge[i] = min(R[i], remaining)
-        remaining -= x_edge[i]
-    x_cloud = R - x_edge
-    spend = p0 * float(x_cloud.sum()) + p1 * float(x_edge.sum())
-    if spend > inst.budget[k] + _TOL:
-        return None
-    with np.errstate(invalid="ignore"):
-        da = np.where(R > 0,
-                      (x_cloud * inst.delay_cloud + x_edge * d1)
-                      / np.maximum(R, 1e-300), 0.0)
-    if np.any(da > inst.delay_cap[k] + _TOL):
-        return None
-    fs = FollowerSolution(
-        x_cloud=x_cloud, x_edge=x_edge.reshape(M, 1),
-        y_cloud=float(x_cloud.sum()), y_edge=np.array([float(x_edge.sum())]),
-        avg_delay=da, cost=0.0)
-    fs.cost = spend + w * float(x_cloud @ inst.delay_cloud + x_edge @ d1)
-    return fs
+    face = _knapsack(inst, k, p1, float(inst.compute_cap[0]))
+    return None if face is None else face.respond(face.lo)
 
 
 def solve_single_en(inst: Instance) -> SingleEnResult:
@@ -142,38 +135,39 @@ def solve_single_en(inst: Instance) -> SingleEnResult:
     that order and return the first of the most profitable playable ones.
     ``per_price`` maps each grid price to the best profit of a playable
     non-empty set there, or to why none is playable. Raises ValueError
-    outside the scope in which the greedy response is exact."""
-    _require_greedy_scope(inst)
-    K = inst.num_services
-    cloud = [_cloud_solution(inst, k) for k in range(K)]
+    only where N != 1."""
+    _require_single_en(inst)
+    K, C = inst.num_services, float(inst.compute_cap[0])
     per_price: Dict[float, object] = {}
-    best = None   # (profit, price, followers, placed)
+    best = None   # (profit, price, faces, X, placed)
     for p1 in inst.price_grid[0].tolist():
-        edge = [follower_best_response_single_en(inst, k, p1)
-                for k in range(K)]
+        margin = p1 - inst.variable_cost[0] / C
+        options = {(k, on): _knapsack(inst, k, p1, C * on)
+                   for k in range(K) for on in (0, 1)}
         for t in itertools.product((0, 1), repeat=K):
             placed = np.array(t)
-            followers = [e if on else c for e, c, on in zip(edge, cloud, t)]
-            if any(fs is None for fs in followers):
+            faces = [options[k, on] for k, on in enumerate(t)]
+            if (any(f is None for f in faces) or float(
+                    inst.service_size @ placed) > inst.storage_cap[0] + _TOL):
                 continue
-            load = sum(fs.y_edge[0] for fs in followers)
-            if (float(inst.service_size @ placed) > inst.storage_cap[0] + _TOL
-                    or load > inst.compute_cap[0] + _TOL):
+            lo, hi = np.array([(f.lo, f.hi) for f in faces]).T
+            if lo.sum() > C + _TOL:
                 continue
-            profit = (p1 * load
-                      - inst.variable_cost[0] * load / inst.compute_cap[0]
-                      - float(inst.placement_cost[0] @ placed)
+            X = lo + _fill(hi - lo, 0.0 if margin <= 0
+                           else min(C, hi.sum()) - lo.sum())
+            profit = (margin * X.sum() - float(inst.placement_cost[0] @ placed)
                       - inst.fixed_cost[0] * any(t))
             if any(t):
                 per_price[p1] = max(per_price.get(p1, -np.inf), profit)
             if best is None or profit > best[0] + _TOL:
-                best = (profit, p1, followers, placed)
+                best = (profit, p1, faces, X, placed)
         per_price.setdefault(p1, "no playable placement")
 
     if best is None:
         return SingleEnResult("infeasible", None, None, "infeasible",
                               None, None, per_price)
-    profit, price, followers, placed = best
+    profit, price, faces, X, placed = best
+    followers = [f.respond(x) for f, x in zip(faces, X)]
     if not placed.any():
         return SingleEnResult("optimal", None, 0.0, "inactive", followers,
                               placed, per_price)

@@ -3,7 +3,7 @@ and timing benchmarks.
 
 Exit codes: 0 success, 2 infeasible, 3 gap/time limit hit, 4 usage
 error or an instance the method refuses: an invalid instance, or one
-outside the single-EN closed form's exact scope. Code 4 prints
+with more than one EN under ``--method single-en``. Code 4 prints
 ``error: ...`` on stderr and nothing on stdout.
 """
 

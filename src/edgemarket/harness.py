@@ -70,7 +70,7 @@ def run_scheme(inst: Instance, spec: SchemeSpec,
 
     Returns (profit, decisions, SolveReport) where decisions is the
     (LeaderDecision, followers) pair when available. ``single-en``
-    raises ValueError outside the closed form's exact scope.
+    raises ValueError on an instance with more than one EN.
     """
     config = config or MilpConfig(backend="highs")
     t0 = time.perf_counter()

@@ -39,6 +39,26 @@ def tight_budget(inst):
         inst, budget=0.6 * top * inst.demand.sum(axis=0) + 0.3)
 
 
+def drawn_variant(inst, seed):
+    """``inst``, meant as ``tiny_instance(seed)``, with its prices, delays
+    and budgets redrawn from ``default_rng(10000 + seed)``: the cloud
+    price uniform on 0.005-0.05, each delay weight log-uniform on
+    1e-4-3e-2, the cloud delays scaled by one uniform factor in 0-1, and
+    each budget at 0.2-1.1 times the most its service can spend. Budgets
+    and delay caps both bind across this family."""
+    rng = np.random.default_rng(10000 + seed)
+    cloud_price = rng.uniform(0.005, 0.05)
+    weight = np.exp(rng.uniform(np.log(1e-4), np.log(3e-2),
+                                inst.num_services))
+    delay_cloud = inst.delay_cloud * rng.uniform(0.0, 1.0)
+    top = max(cloud_price, inst.price_grid.max())
+    budget = (rng.uniform(0.2, 1.1, inst.num_services)
+              * top * inst.demand.sum(axis=0))
+    return dataclasses.replace(inst, cloud_price=cloud_price,
+                               delay_weight=weight, delay_cloud=delay_cloud,
+                               budget=budget)
+
+
 @pytest.fixture(scope="session")
 def base_instance():
     """The full-size base case (M=10, N=4, K=6, V=5)."""

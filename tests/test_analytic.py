@@ -1,22 +1,26 @@
-"""Single-EN closed form: greedy best response against the follower LP,
-grid enumeration against the duality MILP and the brute-force oracle,
-and its refusal outside the scope where the greedy response is exact."""
+"""Single-EN closed form: the interval-knapsack best response against
+the follower LP, and the grid enumeration against the duality MILP and
+the brute-force oracle, where delay caps and budgets bind."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from edgemarket._milp_base import zero_multipliers
 from edgemarket.analytic import (follower_best_response_single_en,
                                  solve_single_en)
-from edgemarket.follower import FollowerContext, solve_follower
+from edgemarket.follower import (FollowerContext, FollowerInfeasibleError,
+                                 solve_follower)
+from edgemarket.harness import SchemeSpec, run_scheme
 from edgemarket.lp_core import MilpConfig
-from edgemarket.model import Instance
+from edgemarket.model import Instance, leader_profit
 from edgemarket.oracle import brute_force_bilevel
-from edgemarket.reform_dual import solve_p2
+from edgemarket.reform_dual import solve_p2, verify_bilevel_optimality
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
-from conftest import TINY_PRICES, tiny_config
+from conftest import (TINY_PRICES, drawn_variant, tight_budget, tiny_config,
+                      tiny_instance)
 
 CFG = MilpConfig(backend="highs")
 
@@ -26,7 +30,7 @@ def single_en_config(seed, **overrides):
     overrides.setdefault("num_aps", 3)
     overrides.setdefault("num_services", 2)
     overrides.setdefault("price_levels", TINY_PRICES)
-    # lenient caps keep the greedy's price/delay trade-off pure
+    # lenient caps: no AP misses a delay cap on the cloud or the EN
     overrides.setdefault("delay_cap_range", (70.0, 100.0))
     return ScenarioConfig(seed=seed, **overrides)
 
@@ -44,14 +48,24 @@ def test_requires_single_en():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_best_response_matches_follower_lp(seed):
-    inst = nonbinding_storage(sample_instance(single_en_config(seed)))
+    """With lenient caps, with the generator's defaults (delay caps below
+    the cloud delay are drawn) and with ``tight_budget``: None exactly
+    where the follower LP is infeasible, else its cost."""
+    lenient = nonbinding_storage(sample_instance(single_en_config(seed)))
+    defaults = sample_instance(single_en_config(
+        seed, delay_cap_range=ScenarioConfig.delay_cap_range))
+    for inst in (lenient, defaults, tight_budget(defaults)):
+        _assert_best_responses_match(inst)
+
+
+def _assert_best_responses_match(inst):
     for k in range(inst.num_services):
         for p1 in inst.price_grid[0]:
             closed = follower_best_response_single_en(inst, k, float(p1))
             ctx = FollowerContext(inst, k, [float(p1)], [1])
             try:
                 fs, _ = solve_follower(ctx)
-            except Exception:
+            except FollowerInfeasibleError:
                 assert closed is None
                 continue
             assert closed is not None
@@ -120,11 +134,11 @@ def _one_en_tiny_seeds(stop):
     return [s for s in range(stop) if tiny_config(s).num_ens == 1]
 
 
-def _agrees_with_oracle(inst, res):
+def _agrees_with_oracle(inst, status, profit):
     oracle = brute_force_bilevel(inst, keep_log=False)
-    if res.status != "optimal" or not oracle.feasible:
-        return (res.status == "optimal") == oracle.feasible
-    return abs(res.profit - oracle.profit) <= 1e-6 * (1 + abs(oracle.profit))
+    if status != "optimal" or not oracle.feasible:
+        return (status == "optimal") == oracle.feasible
+    return abs(profit - oracle.profit) <= 1e-6 * (1 + abs(oracle.profit))
 
 
 def test_matches_oracle_in_scope():
@@ -138,24 +152,70 @@ def test_matches_oracle_in_scope():
         cfg = tiny_config(seed, delay_cap_range=(70.0, 100.0))
         inst = nonbinding_storage(sample_instance(cfg))
         res = solve_single_en(inst)
-        if not _agrees_with_oracle(inst, res):
+        if not _agrees_with_oracle(inst, res.status, res.profit):
             misses.append((seed, res.status, res.profit))
     assert not misses
 
 
-def test_matches_oracle_or_refuses_with_generator_defaults():
-    refused, misses = [], []
-    for seed in _one_en_tiny_seeds(200):
-        inst = sample_instance(tiny_config(seed))
-        try:
-            res = solve_single_en(inst)
-        except ValueError:
-            refused.append(seed)
+@pytest.fixture(scope="module")
+def family_runs():
+    """(family, seed, inst, run_scheme's output) for every N = 1 tiny
+    seed of 0-399 in each of three families: the generator's defaults,
+    which draw delay caps below the cloud delay, their ``tight_budget``
+    variants and their ``drawn_variant``s."""
+    spec = SchemeSpec("dyn", "single-en")
+    runs = []
+    for seed in _one_en_tiny_seeds(400):
+        inst = tiny_instance(seed)
+        for family, variant in (("defaults", inst),
+                                ("tight_budget", tight_budget(inst)),
+                                ("drawn", drawn_variant(inst, seed))):
+            runs.append((family, seed, variant, run_scheme(variant, spec)))
+    return runs
+
+
+def test_matches_oracle_on_three_families(family_runs):
+    """No refusal, and every status and profit equals the oracle's."""
+    misses = [(family, seed, report.status, profit)
+              for family, seed, inst, (profit, _, report) in family_runs
+              if not _agrees_with_oracle(inst, report.status, profit)]
+    assert not misses
+    assert len(family_runs) == 3 * 176
+
+
+def test_answers_are_consistent_bilevel_solutions(family_runs):
+    """On every answered instance, each returned follower is optimal at
+    the leader decision ``run_scheme`` builds, and the followers earn
+    the reported profit, so the split of the shared capacity is sound."""
+    answered = 0
+    for family, seed, inst, run in family_runs:
+        profit, (leader, followers), report = run
+        if report.status != "optimal":
             continue
-        if not _agrees_with_oracle(inst, res):
-            misses.append((seed, res.status, res.profit))
-    assert not misses
-    assert refused   # delay caps below the cloud delay are drawn
+        answered += 1
+        check = verify_bilevel_optimality(inst, leader, followers)
+        assert check.passed, (family, seed, check.notes)
+        assert leader_profit(inst, leader, followers) == pytest.approx(
+            profit, abs=1e-9 * (1 + abs(profit))), (family, seed)
+    assert answered > 400
+
+
+def test_matches_p2_at_six_aps_four_services():
+    """Above the oracle's size: (M, N, K) = (6, 1, 4) on generator seeds
+    0-29, where ``zero_multipliers`` proves every budget multiplier 0,
+    so P2 is exact there."""
+    feasible = 0
+    for seed in range(30):
+        inst = sample_instance(ScenarioConfig(seed=seed, num_aps=6,
+                                              num_ens=1, num_services=4))
+        assert zero_multipliers(inst)[0].all(), seed
+        res, milp = solve_single_en(inst), solve_p2(inst, CFG)
+        assert res.status == milp.status, seed
+        if milp.status == "optimal":
+            feasible += 1
+            assert res.profit == pytest.approx(
+                milp.objective, abs=1e-6 * (1 + abs(milp.objective))), seed
+    assert feasible
 
 
 def _one_ap_instance(**overrides):
@@ -171,22 +231,24 @@ def _one_ap_instance(**overrides):
     return dataclasses.replace(inst, **overrides)
 
 
-@pytest.mark.parametrize("overrides, optimum", [
+@pytest.mark.parametrize("overrides, optimum, offload", [
     # The all-cloud spend of 0.2 exceeds the budget of 0.15, which is
     # met only if 5 units move to the EN at 0.01, against the service's
     # delay preference.
-    ({}, -0.02625),
+    ({}, -0.02625, 5.0),
     # At delay weight 1e-4 the EN at 0.01 is worth all 10 units, but
     # the delay cap of 40 lets only 7.5 of them move.
     ({"budget": np.array([1.0]), "delay_weight": np.array([1e-4]),
       "delay_cap": np.array([40.0]), "fixed_cost": np.array([0.0])},
-     0.035625),
+     0.035625, 7.5),
 ], ids=["budget", "delay-cap"])
-def test_refuses_where_a_split_is_forced(overrides, optimum):
-    """With room to spare, the greedy response moves all or none of
-    the AP's workload; where the follower's optimum splits it, the
-    closed form must refuse."""
+def test_solves_where_a_split_is_forced(overrides, optimum, offload):
+    """Where a binding budget or delay cap forces the follower to split
+    the AP's workload, the closed form answers with that split and the
+    oracle's optimum."""
     inst = _one_ap_instance(**overrides)
     assert brute_force_bilevel(inst).profit == pytest.approx(optimum)
-    with pytest.raises(ValueError, match="out of scope"):
-        solve_single_en(inst)
+    res = solve_single_en(inst)
+    assert res.status == "optimal"
+    assert res.profit == pytest.approx(optimum)
+    assert res.followers[0].x_edge[0, 0] == pytest.approx(offload)

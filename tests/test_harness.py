@@ -13,7 +13,8 @@ from edgemarket.cli import main
 from edgemarket.harness import (SchemeSpec, run_scheme,
                                 run_sensitivity_sweep, run_timing_benchmark)
 from edgemarket.lp_core import MilpConfig
-from edgemarket.model import LeaderDecision, leader_profit
+from edgemarket.model import Instance, LeaderDecision, leader_profit
+from edgemarket.oracle import brute_force_bilevel
 from edgemarket.scenario import ScenarioConfig, sample_instance
 
 from conftest import TINY_PRICES, tiny_config, tiny_instance
@@ -245,15 +246,30 @@ def test_cli_single_en_finds_the_one_service_optimum(tmp_path, capsys):
     assert report["profit"] == pytest.approx(0.13, abs=1e-9)
 
 
-def test_cli_single_en_out_of_scope_exit_4(tmp_path, capsys):
-    """Tiny seed 3 draws a delay cap below the cloud delay, where the
-    closed form may not be exact: an error, not an answer."""
+def test_cli_single_en_matches_oracle_below_cloud_delay(tmp_path, capsys):
+    """Tiny seed 3 draws a delay cap of 48.7 below the cloud delay of 60,
+    so each AP must send about 6 of its workload to the EN, which has
+    room for 16 of the 18: the closed form answers infeasible, as the
+    oracle does, and the CLI exits 2."""
     path = _write_single_en(tmp_path, 3)
+    assert not brute_force_bilevel(Instance.from_json(path.read_text()),
+                                   keep_log=False).feasible
+    rc = main(["solve", "--instance", str(path), "--method", "single-en"])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "infeasible" and report["profit"] is None
+
+
+def test_cli_single_en_out_of_scope_exit_4(tmp_path, capsys):
+    """The closed form covers one EN only: a two-EN instance is an
+    error, not an answer."""
+    path = _gen(tmp_path, n=2)
+    capsys.readouterr()
     rc = main(["solve", "--instance", str(path), "--method", "single-en"])
     assert rc == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and "out of scope" in err
+    assert err.startswith("error: ") and "requires N=1" in err
 
 
 def test_cli_infeasible_exit_2(tmp_path, capsys):
