@@ -17,10 +17,10 @@ A ``desk`` case is a 6x3x4 instance at the given generator seed, as in
 ``perfbench``'s ``desk-schemes``; a ``crit10`` case is a row of criterion
 10's grid, ``MxNxK`` at generator seed 1. Both solve to a relative gap
 of 1e-4 under the ``dyn`` scheme. The file holds every solve's wall
-time, status, profit and node count, and per case and method the sums
-over the seeds, the number of seeds the change ran faster, and any
-seed where P1 and P2 of one checkout disagree by more than twice the
-gap.
+time, status, profit, node count and relative gap, and per case and
+method the sums over the seeds, the number of seeds the change ran
+faster, any seed where P1 and P2 of one checkout disagree by more than
+twice the gap, and any ``optimal`` solve whose gap exceeds it.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ def worker(args) -> None:
             res = solvers[method](inst, config)
             out[f"{name}/{method}"] = {
                 "wall_s": time.perf_counter() - t0, "status": res.status,
-                "profit": res.objective, "nodes": res.milp.nodes_explored}
+                "profit": res.objective, "nodes": res.milp.nodes_explored,
+                "relative_gap": res.milp.relative_gap}
     print(json.dumps(out))
 
 
@@ -105,6 +106,13 @@ def disagreements(result: dict) -> list:
                 > 2 * GAP * max(1.0, abs(p2["profit"]))):
             out.append(name)
     return out
+
+
+def gaps_over_tolerance(result: dict) -> list:
+    """Solves reported ``optimal`` with a relative gap above ``GAP``."""
+    return [key for key, r in result.items()
+            if r["status"] == "optimal" and r["relative_gap"] is not None
+            and r["relative_gap"] > GAP * (1 + 1e-9)]
 
 
 def summarize(runs) -> dict:
@@ -173,6 +181,8 @@ def main(argv=None) -> None:
             run[side] = run_worker(sides[side], seed, args)
         run["p1_p2_disagree"] = {side: disagreements(run[side])
                                  for side in sides}
+        run["gap_over_tolerance"] = {side: gaps_over_tolerance(run[side])
+                                     for side in sides}
         runs.append(run)
         for key in run["parent"]:
             print(f"random_seed {seed} {key}: parent "

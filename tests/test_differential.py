@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edgemarket import lp_core
 from edgemarket._milp_base import zero_multipliers
 from edgemarket.lp_core import MilpConfig
 from edgemarket.oracle import OracleResult, brute_force_bilevel
@@ -112,12 +111,12 @@ def test_restricted_schemes_match_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_seeded_p1_matches_oracle(monkeypatch, seed):
-    """With ``_SEED_FLOOR`` at 0, P1/HiGHS starts every search from its
-    switch relaxation's leader decision even on tiny models. It still
-    finds the oracle's status and profit, plain and with a tight
-    budget, under each scheme."""
-    monkeypatch.setattr(lp_core, "_SEED_FLOOR", 0)
+def test_seeded_p1_matches_oracle(seed):
+    """P1/HiGHS closes each solve with its switch relaxation's bound and
+    a run at that relaxation's leader decision, or else starts its
+    search from that decision, even on tiny models. It still finds the
+    oracle's status and profit, plain and with a tight budget, under
+    each scheme."""
     for inst in (tiny_instance(seed), tight_budget(tiny_instance(seed))):
         oracle = brute_force_bilevel(inst)
         _assert_matches(solve_p1(inst, CFG), oracle, "dyn")

@@ -347,6 +347,46 @@ def test_backends_label_unbounded_and_infeasible(backend):
     assert sol.x is None
 
 
+def relaxation_misleads():
+    """``max y - s + 0.3 c`` with leader binary ``y``, switch ``s`` and
+    its multiplier ``u``: ``2 s >= y``, ``u <= s`` and ``c + y <= 1``.
+    With ``s`` continuous the optimum is y = 1, s = 0.5, worth 0.5;
+    with ``s`` integral y = 1 is worth 0, and y = 0 wins with 0.3."""
+    m = LinearModel(sense="max")
+    y, s = m.add_var("y", binary=True), m.add_var("s", binary=True)
+    u, c = m.add_var("u", ub=1.0), m.add_var("c", ub=1.0)
+    m.add_constr({s: 2.0, y: -1.0}, GE, 0.0)
+    m.add_constr({u: 1.0, s: -1.0}, LE, 0.0)
+    m.add_constr({c: 1.0, y: 1.0}, LE, 1.0)
+    m.set_objective({y: 1.0, s: -1.0, c: 0.3})
+    m.pairs.append((s, u))
+    return m
+
+
+def test_highs_searches_where_the_fixed_leader_run_falls_short(monkeypatch):
+    """The switch relaxation's leader decision y = 1 is not optimal once
+    the switch is integral. The fixed-leader run's 0 then misses the
+    relaxation's bound of 0.5, so the solve runs the full search and
+    returns the enumerated optimum 0.3."""
+    m = relaxation_misleads()
+    oracle = milp_oracle(m)
+    assert oracle == pytest.approx(0.3)
+    closures = []
+    fixed_leader = lp_core._fixed_leader
+
+    def spied(*args):
+        closed, nodes = fixed_leader(*args)
+        closures.append(closed)
+        return closed, nodes
+
+    monkeypatch.setattr(lp_core, "_fixed_leader", spied)
+    sol = solve_milp(m, MilpConfig(backend="highs"))
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(oracle, abs=1e-9)
+    assert sol.relative_gap <= MilpConfig().gap_tol
+    assert closures == [None]
+
+
 def test_highs_rejected_option_raises(monkeypatch):
     """An option HiGHS does not know fails the solve instead of being
     ignored, so a renamed option cannot silently keep its default."""

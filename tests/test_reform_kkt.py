@@ -361,11 +361,13 @@ def test_extract_rejects_unsolved():
         extract_solution_p1(inst, lay, MilpSolution("infeasible", float("nan")))
 
 
-def _count_mip_runs(monkeypatch):
-    """Count the HiGHS MIP runs and the polishing rounds of the solves
-    that follow: {"runs": ..., "rounds": ...}."""
-    counts = {"runs": 0, "rounds": 0}
+def _spy_rounds(monkeypatch):
+    """Record each polishing round of the HiGHS solves that follow, in
+    order, as {"runs": its HiGHS MIP runs, "closed": whether its
+    fixed-leader run closed it}."""
+    rounds = []
     new_highs, solve_highs = lp_core._new_highs, lp_core._solve_milp_highs
+    fixed_leader = lp_core._fixed_leader
 
     class Counted:
         def __init__(self, h):
@@ -375,7 +377,7 @@ def _count_mip_runs(monkeypatch):
             return getattr(self._h, name)
 
         def run(self):
-            counts["runs"] += 1
+            rounds[-1]["runs"] += 1
             return self._h.run()
 
     def counted_highs(*args, integer=False):
@@ -383,42 +385,51 @@ def _count_mip_runs(monkeypatch):
         return Counted(h) if integer else h
 
     def counted_round(m, cfg):
-        counts["rounds"] += 1
+        rounds.append({"runs": 0, "closed": False})
         return solve_highs(m, cfg)
+
+    def spied_fixed_leader(*args):
+        closed, nodes = fixed_leader(*args)
+        rounds[-1]["closed"] = closed is not None
+        return closed, nodes
 
     monkeypatch.setattr(lp_core, "_new_highs", counted_highs)
     monkeypatch.setattr(lp_core, "_solve_milp_highs", counted_round)
-    return counts
+    monkeypatch.setattr(lp_core, "_fixed_leader", spied_fixed_leader)
+    return rounds
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_tiny_p1_below_the_seed_floor_makes_one_mip_run_per_round(
-        monkeypatch, seed):
-    """Tiny P1 has fewer switches than ``_SEED_FLOOR``, so each polishing
-    round makes exactly one HiGHS MIP run, as without seeding; with the
-    floor at 0 each round first runs the switch relaxation."""
-    inst = tiny_instance(seed)
-    model, _ = build_p1(inst)
-    assert 0 < len(model.pairs) < lp_core._SEED_FLOOR
-    counts = _count_mip_runs(monkeypatch)
-    cold = solve_p1(inst, CFG)
-    assert counts["runs"] == counts["rounds"] >= 1
-    monkeypatch.setattr(lp_core, "_SEED_FLOOR", 0)
-    counts.update(runs=0, rounds=0)
-    seeded = solve_p1(inst, CFG)
-    assert counts["runs"] == 2 * counts["rounds"] >= 2
-    assert seeded.status == cold.status
+@pytest.mark.parametrize("inst", [tiny_instance(s) for s in range(6)]
+                         + [DESK[0]], ids=[f"tiny{s}" for s in range(6)]
+                         + ["desk0"])
+def test_p1_closes_with_the_fixed_leader_run(monkeypatch, inst):
+    """P1/HiGHS runs its switch relaxation, then the MIP with the
+    relaxation's rounded leader binaries fixed. Where that run's
+    objective meets the relaxation's bound, each polishing round makes
+    exactly those two HiGHS MIP runs, and the solve reports a gap within
+    ``gap_tol``. An infeasible relaxation leaves nothing to fix, so its
+    round falls through to the full search."""
+    cfg = MilpConfig(backend="highs", gap_tol=1e-4)
+    rounds = _spy_rounds(monkeypatch)
+    res = solve_p1(inst, cfg)
+    assert rounds
+    if res.status == "infeasible":
+        assert not any(r["closed"] for r in rounds)
+        return
+    assert res.status == "optimal"
+    assert all(r["closed"] and r["runs"] == 2 for r in rounds)
+    assert res.milp.relative_gap <= cfg.gap_tol
 
 
 @pytest.mark.parametrize("limit", [0.2, 0.6])
 def test_seeded_solve_keeps_its_time_limit(limit):
-    """Desk P1 has 224 switches, so its search is seeded. The relaxation
-    shares the solve's time limit: at 0.2 s it runs out there and the
-    solve stops cold; at 0.6 s the seeded search runs out. Either way
-    the call returns within the limit plus 0.5 s of slack for HiGHS's
-    checks between iterations and the polishing LP."""
+    """Desk P1's switch relaxation, its fixed-leader run and any search
+    after them share the solve's time limit: at 0.2 s the relaxation
+    can run out and the solve stop cold; at 0.6 s the fixed-leader run
+    can close the solve, or its search run out. Either way the call
+    returns within the limit plus 0.5 s of slack for HiGHS's checks
+    between iterations and the polishing LP."""
     model, _ = build_p1(DESK[0])
-    assert len(model.pairs) >= lp_core._SEED_FLOOR
     t0 = time.perf_counter()
     sol = lp_core.solve_milp(model, MilpConfig(backend="highs", gap_tol=1e-4,
                                                time_limit=limit))
