@@ -19,8 +19,10 @@ A ``desk`` case is a 6x3x4 instance at the given generator seed, as in
 of 1e-4 under the ``dyn`` scheme. The file holds every solve's wall
 time, status, profit, node count and relative gap, and per case and
 method the sums over the seeds, the number of seeds the change ran
-faster, any seed where P1 and P2 of one checkout disagree by more than
-twice the gap, and any ``optimal`` solve whose gap exceeds it.
+faster, whether both checkouts explored the same nodes on every seed
+(``nodes_equal``, which a refactor that keeps the search shows), any
+seed where P1 and P2 of one checkout disagree by more than twice the
+gap, and any ``optimal`` solve whose gap exceeds it.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ def summarize(runs) -> dict:
             "change_nodes_sum": sum(r["nodes"] for r in c),
             "seeds_change_faster": sum(b["wall_s"] < a["wall_s"]
                                        for a, b in zip(p, c)),
+            "nodes_equal": all(a["nodes"] == b["nodes"]
+                               for a, b in zip(p, c)),
         }
     return out
 

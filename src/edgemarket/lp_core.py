@@ -16,8 +16,10 @@ MILPs are solved with an embedded best-first branch-and-bound over
 those relaxations (``solve_milp``), which starts each node from its
 parent's basis and branches on one-hot rows as sets, or with HiGHS' own
 branch-and-bound through the same binding, loaded by the same code.
-A model with enough complementarity switches (``LinearModel.pairs``)
-starts that search from the leader decision of its switch relaxation.
+A model with complementarity switches (``LinearModel.pairs``) first
+solves its switch relaxation, and closes the search with one run that
+fixes the relaxation's leader decision where that run meets the
+relaxation's bound.
 That MIP search runs with HiGHS's RINS and RENS sub-MIP heuristics off:
 on these models they spent most of the search's LP iterations and found
 none of its incumbents. Feasibility jump and the root reduced-cost
@@ -289,9 +291,10 @@ class MilpSolution:
     directly. ``relative_gap`` is None without a point, since with no
     incumbent the gap is unknown. ``nodes_explored`` sums the nodes of
     every search the solve ran: each polishing round, and on ``highs``
-    each of a round's up to three runs (switch relaxation, fixed-leader
-    run, full search). ``constraint_duals``, one per row in model order,
-    come from ``solve_lp`` only."""
+    each of a round's MIP runs, the switch relaxation and fixed-leader
+    run of a model with ``pairs`` and any full search after them.
+    ``constraint_duals``, one per row in model order, come from
+    ``solve_lp`` only."""
 
     status: str
     objective: float
@@ -529,7 +532,8 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     renamed one cannot silently bring them back. HiGHS's unbounded-or-infeasible
     verdict is settled by one re-run without presolve; a load or solve
     error, or any status other than optimal, infeasible, unbounded or a
-    time, node or iteration limit, raises RuntimeError naming it.
+    time, node or iteration limit, raises RuntimeError naming it. Every
+    run goes through ``_run_mip``, which also settles that verdict.
 
     A model with ``pairs``, such as P1, first solves the same model with
     only the complementarity switches continuous, to the same gap and
@@ -542,15 +546,10 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     relaxation still holds P2's rows, so its leader decision is nearly
     always optimal and this closes the solve: over HiGHS random_seed
     0-3, P1 on desk seeds 0-4 took 10.4 s in all, against 54.1 s with a
-    full search after the relaxation. Otherwise the bounds are put back
-    and the full search runs with that leader decision as a partial
-    start (``setSolution``), which HiGHS completes or ignores; guiding a
-    search by a relaxation's point is standard MIP practice (Danna,
-    Rothberg & Le Pape 2005). There the start is only a hint: status,
-    objective and bound come from the full search. Where the relaxation
-    stops at a limit or finds no point, the search runs cold. Models
-    without ``pairs`` make one run. ``nodes_explored`` counts the nodes
-    of every run.
+    full search after the relaxation. Otherwise, or where either run
+    ends other than optimal, the bounds are put back and the full search
+    runs cold, as it does for a model without ``pairs``.
+    ``nodes_explored`` counts the nodes of every run.
 
     ``cfg.time_limit`` bounds the whole call: each polishing round gets
     only the time left of it, and on ``highs`` a round's relaxation and
@@ -859,72 +858,50 @@ _MIP_STATUS = {
 _FEASIBLE = int(_highs.kSolutionStatusFeasible)
 
 
-def _run_mip(h: _highs._Highs, options: Dict[str, object],
-             until: Optional[float]) -> _highs.HighsStatus:
-    """One HiGHS MIP run with ``options`` and the time left before
-    ``until``, its chatter sent to the log."""
-    if until is not None:
-        options["time_limit"] = max(0.0, until - time.perf_counter())
-    _set_options(h, options)
-    with _stdout_to_log():
-        return h.run()
-
-
-def _relaxation_start(h: _highs._Highs, cm: _Compiled, switches: np.ndarray,
-                      options: Dict[str, object], until: Optional[float]
-                      ) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]],
-                                 float, int]:
-    """Solve ``h``'s MIP with only the ``switches`` continuous, then
-    make them integer again. Returns the other binaries of its optimum,
-    rounded, as (ids, values), or None if the run stopped at a limit or
-    found no point; its dual bound on min ``c @ x``, which also bounds
-    the full model's optimum, since the run only relaxed integrality;
-    and the nodes it explored."""
-    def kinds(kind):
-        return np.full(len(switches), int(kind), np.uint8)
-
-    h.changeColsIntegrality(len(switches), switches,
-                            kinds(_highs.HighsVarType.kContinuous))
-    h.clearSolver()
-    _run_mip(h, dict(options), until)
+def _run_mip(h: _highs._Highs, m: LinearModel, options: Dict[str, object],
+             until: Optional[float], gap_tol: float
+             ) -> Tuple[Optional[MilpSolution], float]:
+    """Run ``h``, which holds ``m``, from a cleared solver with
+    ``options``, presolve on, and the time left before ``until``, its
+    chatter sent to the log. Presolve reports an unbounded relaxation
+    as unbounded-or-infeasible; one re-run without it tells the two
+    apart. Returns the outcome, or None on a status this module does not
+    map, and the run's dual bound in the model's own sense. Both are
+    read here, since changing a bound clears HiGHS's status and
+    solution."""
+    for presolve in ("on", "off"):
+        h.clearSolver()
+        run_options = dict(options, presolve=presolve)
+        if until is not None:
+            run_options["time_limit"] = max(0.0, until - time.perf_counter())
+        _set_options(h, run_options)
+        with _stdout_to_log():
+            run_status = h.run()
+        model_status = h.getModelStatus()
+        if model_status != _M.kUnboundedOrInfeasible:
+            break
     info = h.getInfo()
-    start = None
-    if (h.getModelStatus() == _M.kOptimal
-            and info.primal_solution_status == _FEASIBLE):
-        x = np.array(h.getSolution().col_value)
-        ids = np.setdiff1d(cm.binary, switches).astype(np.int32)
-        start = ids, np.round(x[ids])
-    h.changeColsIntegrality(len(switches), switches,
-                            kinds(_highs.HighsVarType.kInteger))
-    return start, info.mip_dual_bound, int(info.mip_node_count)
-
-
-def _fixed_leader(h: _highs._Highs, cm: _Compiled,
-                  start: Tuple[np.ndarray, np.ndarray], bound: float,
-                  options: Dict[str, object], until: Optional[float],
-                  gap_tol: float) -> Tuple[Optional[MilpSolution], int]:
-    """Solve ``h``'s MIP with the ``start`` binaries fixed to their
-    values, then put their bounds back. ``bound`` bounds the unfixed
-    model's min ``c @ x``. Returns the run's point as an optimum if its
-    objective lies within ``gap_tol`` of ``bound``, else None; and the
-    nodes it explored. Changing bounds clears HiGHS's status and
-    solution, so both are read first."""
-    ids, values = start
-    h.changeColsBounds(len(ids), ids, values, values)
-    h.clearSolver()
-    _run_mip(h, dict(options), until)
-    info = h.getInfo()
-    closed = None
-    if (h.getModelStatus() == _M.kOptimal
-            and info.primal_solution_status == _FEASIBLE):
-        fun = info.objective_function_value
-        gap = abs(fun - bound) / max(1.0, abs(fun))
-        if gap <= gap_tol * (1 + 1e-9):
-            x = np.array(h.getSolution().col_value)
-            closed = MilpSolution(OPTIMAL, float(cm.cost @ x), x,
-                                  relative_gap=gap)
-    h.changeColsBounds(len(ids), ids, cm.col_lo[ids], cm.col_hi[ids])
-    return closed, int(info.mip_node_count)
+    sign = -1.0 if m.obj_sense == "max" else 1.0
+    bound = sign * info.mip_dual_bound
+    status = _MIP_STATUS.get(model_status)
+    if status is None or run_status == _highs.HighsStatus.kError:
+        return None, bound
+    nodes = int(info.mip_node_count)
+    if status == UNBOUNDED:
+        return MilpSolution(UNBOUNDED, -sign * math.inf,
+                            nodes_explored=nodes), bound
+    if status == INFEASIBLE or info.primal_solution_status != _FEASIBLE:
+        return MilpSolution(status, math.nan, nodes_explored=nodes), bound
+    # Relative to max(1, |objective|), as the embedded backend and the
+    # polishing check measure it: HiGHS's own mip_gap divides by the
+    # objective alone and blows up near an objective of 0.
+    fun = info.objective_function_value     # of min c @ x
+    gap = abs(fun - info.mip_dual_bound) / max(1.0, abs(fun))
+    if status == OPTIMAL and gap > gap_tol * (1 + 1e-9):
+        status = GAP_LIMIT
+    x = np.array(h.getSolution().col_value)
+    return MilpSolution(status, float(m._compiled_form().cost @ x), x,
+                        relative_gap=gap, nodes_explored=nodes), bound
 
 
 def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
@@ -934,52 +911,39 @@ def _solve_milp_highs(m: LinearModel, cfg: MilpConfig) -> MilpSolution:
     options = dict(_MIP_OPTIONS, mip_rel_gap=cfg.gap_tol)
     if cfg.node_limit is not None:
         options["mip_max_nodes"] = cfg.node_limit
-    start, nodes = None, 0
+    nodes = 0
     if m.pairs:
         switches = np.array(sorted(s for s, _ in m.pairs), np.int32)
-        start, bound, nodes = _relaxation_start(h, cm, switches, options,
-                                                until)
-        if start is not None:
-            closed, fixed_nodes = _fixed_leader(h, cm, start, bound, options,
-                                                until, cfg.gap_tol)
-            nodes += fixed_nodes
-            if closed is not None:
-                closed.nodes_explored = nodes
-                return closed
-    # Presolve reports an unbounded relaxation as unbounded-or-infeasible;
-    # a second run without it tells the two apart. ``clearSolver`` drops
-    # a start set before it, so the start is set after.
-    for retry in ({}, {"presolve": "off"}):
-        options.update(retry)
-        h.clearSolver()
-        if start is not None:
-            h.setSolution(len(start[0]), *start)
-        run_status = _run_mip(h, options, until)
-        model_status = h.getModelStatus()
-        if model_status != _M.kUnboundedOrInfeasible:
-            break
-    status = _MIP_STATUS.get(model_status)
-    if status is None or run_status == _highs.HighsStatus.kError:
+
+        def kinds(kind):
+            return np.full(len(switches), int(kind), np.uint8)
+
+        # Only integrality is relaxed, so ``bound`` bounds the optimum.
+        h.changeColsIntegrality(len(switches), switches,
+                                kinds(_highs.HighsVarType.kContinuous))
+        relaxed, bound = _run_mip(h, m, options, until, cfg.gap_tol)
+        h.changeColsIntegrality(len(switches), switches,
+                                kinds(_highs.HighsVarType.kInteger))
+        nodes += relaxed.nodes_explored if relaxed else 0
+        if relaxed and relaxed.status == OPTIMAL and relaxed.x is not None:
+            ids = np.setdiff1d(cm.binary, switches).astype(np.int32)
+            values = np.round(relaxed.x[ids])
+            h.changeColsBounds(len(ids), ids, values, values)
+            fixed, _ = _run_mip(h, m, options, until, cfg.gap_tol)
+            h.changeColsBounds(len(ids), ids, cm.col_lo[ids], cm.col_hi[ids])
+            nodes += fixed.nodes_explored if fixed else 0
+            if fixed and fixed.status == OPTIMAL and fixed.x is not None:
+                gap = (abs(fixed.objective - bound)
+                       / max(1.0, abs(fixed.objective)))
+                if gap <= cfg.gap_tol * (1 + 1e-9):
+                    fixed.relative_gap, fixed.nodes_explored = gap, nodes
+                    return fixed
+    sol, _ = _run_mip(h, m, options, until, cfg.gap_tol)
+    if sol is None:
         raise RuntimeError("MILP solve failed: HiGHS model status "
-                           f"{h.modelStatusToString(model_status)}")
-    info = h.getInfo()
-    nodes += int(info.mip_node_count)
-    if status == UNBOUNDED:
-        return MilpSolution(UNBOUNDED,
-                            math.inf if m.obj_sense == "max" else -math.inf,
-                            nodes_explored=nodes)
-    if status == INFEASIBLE or info.primal_solution_status != _FEASIBLE:
-        return MilpSolution(status, math.nan, nodes_explored=nodes)
-    # Relative to max(1, |objective|), as the embedded backend and the
-    # polishing check measure it: HiGHS's own mip_gap divides by the
-    # objective alone and blows up near an objective of 0.
-    fun = info.objective_function_value     # of min c @ x
-    gap = abs(fun - info.mip_dual_bound) / max(1.0, abs(fun))
-    if status == OPTIMAL and gap > cfg.gap_tol * (1 + 1e-9):
-        status = GAP_LIMIT
-    x = np.array(h.getSolution().col_value)
-    return MilpSolution(status, float(cm.cost @ x), x, relative_gap=gap,
-                        nodes_explored=nodes)
+                           f"{h.modelStatusToString(h.getModelStatus())}")
+    sol.nodes_explored += nodes
+    return sol
 
 
 # -- MPS bridge -------------------------------------------------------

@@ -15,8 +15,9 @@ its switch are still written, and HiGHS's presolve removes what the 0
 settles. Each pair is recorded on the model itself, in
 ``LinearModel.pairs``, as (switch, multiplier): ``validate_bigM`` reads
 there whether a model is P1, and ``lp_core.solve_milp``'s ``highs``
-backend reads the switches there, to start P1's search from the leader
-decision of the model with only the switches relaxed. The bilinear
+backend reads the switches there: it solves P1 with only the switches
+relaxed, then with that run's leader decision fixed, and searches only
+where the two runs' values differ by more than the gap. The bilinear
 price-times-budget-multiplier and placement-times-capacity-multiplier
 products are expanded over the one-hot price selection.
 

@@ -113,8 +113,8 @@ def test_restricted_schemes_match_oracle(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_seeded_p1_matches_oracle(seed):
     """P1/HiGHS closes each solve with its switch relaxation's bound and
-    a run at that relaxation's leader decision, or else starts its
-    search from that decision, even on tiny models. It still finds the
+    a run at that relaxation's leader decision, or else runs its full
+    search cold, even on tiny models. It still finds the
     oracle's status and profit, plain and with a tight budget, under
     each scheme."""
     for inst in (tiny_instance(seed), tight_budget(tiny_instance(seed))):

@@ -326,25 +326,34 @@ def test_backends_label_unbounded_and_infeasible(backend):
     """``max c + b`` s.t. ``b - c <= 0.5`` with ``c`` unbounded above is
     unbounded (HiGHS's presolve calls it unbounded-or-infeasible); a
     binary pair whose sum must lie in [0.5, 0.7] is infeasible though
-    its relaxation is not."""
+    its relaxation is not. Each model is solved once more with one
+    declared pair, so that on ``highs`` the switch relaxation meets
+    both: with ``b`` as the switch it is unbounded too, and with ``x``
+    as the switch it is feasible at y = 0, x = 0.7, while the
+    fixed-leader run and the search find no point."""
     cfg = MilpConfig(backend=backend)
-    m = LinearModel(sense="max")
-    b = m.add_var("b", binary=True)
-    c = m.add_var("c")
-    m.add_constr({b: 1.0, c: -1.0}, LE, 0.5)
-    m.set_objective({b: 1.0, c: 1.0})
-    sol = solve_milp(m, cfg)
-    assert sol.status == UNBOUNDED
-    assert sol.objective == math.inf
-    m = LinearModel(sense="max")
-    x, y = m.add_var("x", binary=True), m.add_var("y", binary=True)
-    m.add_constr({x: 1.0, y: 1.0}, GE, 0.5)
-    m.add_constr({x: 1.0, y: 1.0}, LE, 0.7)
-    m.set_objective({x: 1.0})
-    assert solve_lp(m).status == OPTIMAL
-    sol = solve_milp(m, cfg)
-    assert sol.status == INFEASIBLE
-    assert sol.x is None
+    for paired in (False, True):
+        m = LinearModel(sense="max")
+        b = m.add_var("b", binary=True)
+        c = m.add_var("c")
+        m.add_constr({b: 1.0, c: -1.0}, LE, 0.5)
+        m.set_objective({b: 1.0, c: 1.0})
+        if paired:
+            m.pairs.append((b, c))
+        sol = solve_milp(m, cfg)
+        assert sol.status == UNBOUNDED
+        assert sol.objective == math.inf
+        m = LinearModel(sense="max")
+        x, y = m.add_var("x", binary=True), m.add_var("y", binary=True)
+        m.add_constr({x: 1.0, y: 1.0}, GE, 0.5)
+        m.add_constr({x: 1.0, y: 1.0}, LE, 0.7)
+        m.set_objective({x: 1.0})
+        if paired:
+            m.pairs.append((x, m.add_var("u", ub=1.0)))
+        assert solve_lp(m).status == OPTIMAL
+        sol = solve_milp(m, cfg)
+        assert sol.status == INFEASIBLE
+        assert sol.x is None
 
 
 def relaxation_misleads():
@@ -366,25 +375,29 @@ def relaxation_misleads():
 def test_highs_searches_where_the_fixed_leader_run_falls_short(monkeypatch):
     """The switch relaxation's leader decision y = 1 is not optimal once
     the switch is integral. The fixed-leader run's 0 then misses the
-    relaxation's bound of 0.5, so the solve runs the full search and
-    returns the enumerated optimum 0.3."""
+    relaxation's bound of 0.5, so the solve makes a third MIP run, the
+    full search, and returns the enumerated optimum 0.3."""
     m = relaxation_misleads()
     oracle = milp_oracle(m)
     assert oracle == pytest.approx(0.3)
-    closures = []
-    fixed_leader = lp_core._fixed_leader
+    runs = []
+    run_mip = lp_core._run_mip
 
     def spied(*args):
-        closed, nodes = fixed_leader(*args)
-        closures.append(closed)
-        return closed, nodes
+        out = run_mip(*args)
+        runs.append(out)
+        return out
 
-    monkeypatch.setattr(lp_core, "_fixed_leader", spied)
+    monkeypatch.setattr(lp_core, "_run_mip", spied)
     sol = solve_milp(m, MilpConfig(backend="highs"))
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(oracle, abs=1e-9)
     assert sol.relative_gap <= MilpConfig().gap_tol
-    assert closures == [None]
+    assert len(runs) == 3
+    (relaxed, bound), (fixed, _), (search, _) = runs
+    assert relaxed.status == OPTIMAL and bound == pytest.approx(0.5)
+    assert fixed.status == OPTIMAL and fixed.objective == pytest.approx(0.0)
+    assert search.objective == pytest.approx(oracle, abs=1e-9)
 
 
 def test_highs_rejected_option_raises(monkeypatch):

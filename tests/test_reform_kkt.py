@@ -363,11 +363,13 @@ def test_extract_rejects_unsolved():
 
 def _spy_rounds(monkeypatch):
     """Record each polishing round of the HiGHS solves that follow, in
-    order, as {"runs": its HiGHS MIP runs, "closed": whether its
-    fixed-leader run closed it}."""
+    order, as {"runs": its HiGHS MIP runs, "outcomes": what each
+    ``_run_mip`` call returned, "closed": whether the round returned
+    the fixed-leader run's point, the second outcome after an optimal
+    switch relaxation}."""
     rounds = []
     new_highs, solve_highs = lp_core._new_highs, lp_core._solve_milp_highs
-    fixed_leader = lp_core._fixed_leader
+    run_mip = lp_core._run_mip
 
     class Counted:
         def __init__(self, h):
@@ -384,18 +386,22 @@ def _spy_rounds(monkeypatch):
         h = new_highs(*args, integer=integer)
         return Counted(h) if integer else h
 
-    def counted_round(m, cfg):
-        rounds.append({"runs": 0, "closed": False})
-        return solve_highs(m, cfg)
+    def spied_run_mip(*args):
+        out = run_mip(*args)
+        rounds[-1]["outcomes"].append(out[0])
+        return out
 
-    def spied_fixed_leader(*args):
-        closed, nodes = fixed_leader(*args)
-        rounds[-1]["closed"] = closed is not None
-        return closed, nodes
+    def counted_round(m, cfg):
+        rounds.append({"runs": 0, "outcomes": []})
+        sol = solve_highs(m, cfg)
+        outcomes = rounds[-1]["outcomes"]
+        rounds[-1]["closed"] = (len(outcomes) == 2 and sol is outcomes[1]
+                                and outcomes[0].status == "optimal")
+        return sol
 
     monkeypatch.setattr(lp_core, "_new_highs", counted_highs)
     monkeypatch.setattr(lp_core, "_solve_milp_highs", counted_round)
-    monkeypatch.setattr(lp_core, "_fixed_leader", spied_fixed_leader)
+    monkeypatch.setattr(lp_core, "_run_mip", spied_run_mip)
     return rounds
 
 
@@ -424,11 +430,12 @@ def test_p1_closes_with_the_fixed_leader_run(monkeypatch, inst):
 @pytest.mark.parametrize("limit", [0.2, 0.6])
 def test_seeded_solve_keeps_its_time_limit(limit):
     """Desk P1's switch relaxation, its fixed-leader run and any search
-    after them share the solve's time limit: at 0.2 s the relaxation
-    can run out and the solve stop cold; at 0.6 s the fixed-leader run
-    can close the solve, or its search run out. Either way the call
-    returns within the limit plus 0.5 s of slack for HiGHS's checks
-    between iterations and the polishing LP."""
+    after them share the solve's time limit, each run getting only the
+    time left: at 0.2 s the relaxation can run out, and the search after
+    it stop at once; at 0.6 s the fixed-leader run can close the solve,
+    or the search run out. Either way the call returns within the limit
+    plus 0.5 s of slack for HiGHS's checks between iterations and the
+    polishing LP."""
     model, _ = build_p1(DESK[0])
     t0 = time.perf_counter()
     sol = lp_core.solve_milp(model, MilpConfig(backend="highs", gap_tol=1e-4,
