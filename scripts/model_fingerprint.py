@@ -1,5 +1,5 @@
-"""Print one SHA-256 per compiled P1, P2 and follower model over a fixed
-suite.
+"""Print one SHA-256 per compiled P1, P2, follower and oracle model over a
+fixed suite.
 
 The suite is P1 and P2, each under the three pricing schemes ``dyn``,
 ``flat`` and ``avg``, on tiny seeds 0-39, desk seeds 0-4 (6x3x4) and base
@@ -7,10 +7,12 @@ seeds 0-2 (the default size): 288 models. With them come every
 service's follower LP and explicit dual on each of those instances at
 two fixed contexts, ``low`` (every EN placed, at its lowest grid price)
 and ``alt-top`` (ENs 0, 2, ... placed, every price at the top of the
-grid): 396 models, 684 in all. Each hash covers what HiGHS is handed and
-how the model names it: the objective sense and cost vector, the CSC
-matrix, the row and column bounds, the binary ids, and the variable and
-constraint names. A change that claims to leave every model unchanged
+grid): 396 models, 684 in all. On the tiny seeds the oracle's LPs follow:
+the second stage, ``tiny/{s}/oracle/stage``, and each service's follower
+LP, ``tiny/{s}/oracle/follower{k}``: 101 models, 785 in all. Each hash
+covers what HiGHS is handed and how the model names it: the objective
+sense and cost vector, the CSC matrix, the row and column bounds, the
+binary ids, and the variable and constraint names. A change that claims to leave every model unchanged
 prints the same lines as its parent:
 
     python3 scripts/model_fingerprint.py > after.txt
@@ -19,7 +21,9 @@ prints the same lines as its parent:
 
 The optional argument is the ``src`` directory of the checkout to load
 ``edgemarket`` from; by default it is this repository's own ``src``. That
-checkout's builders must take ``scheme=`` and return ``(model, ids)``.
+checkout's builders must take ``scheme=`` and return ``(model, ids)``, and
+its oracle must have ``_SecondStage(inst).lp`` and
+``_FollowerCosts(inst)._build(k)``.
 
 ``--by-family`` prints one hash per row family of each model instead,
 the family being a row name's prefix before its first ``_`` (``hub1``,
@@ -99,7 +103,7 @@ def main(argv) -> int:
     here = Path(__file__).resolve().parents[1] / "src"
     src = Path(argv[1]) if len(argv) > 1 else here
     sys.path.insert(0, str(src))
-    from edgemarket import follower, reform_dual, reform_kkt, scenario
+    from edgemarket import follower, oracle, reform_dual, reform_kkt, scenario
 
     def show(name, model):
         if not by_family:
@@ -124,6 +128,11 @@ def main(argv) -> int:
                                     ("dual", follower.build_follower_dual)):
                     model, _ = build(ctx)
                     show(f"{label}/follower{k}/{ctx_name}/{kind}", model)
+        if label.startswith("tiny/"):
+            show(f"{label}/oracle/stage", oracle._SecondStage(inst).lp)
+            costs = oracle._FollowerCosts(inst)
+            for k in range(inst.num_services):
+                show(f"{label}/oracle/follower{k}", costs._build(k)[0])
     return 0
 
 

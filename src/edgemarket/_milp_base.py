@@ -46,7 +46,7 @@ methods take them through the one writer, ``add_revenue_hull``.
 The reference code the reformulations are tested against writes its
 rows separately on purpose, so that no fault in these shared writers
 can hide from the tests: ``follower.build_follower_dual``, the oracle's
-``_SecondStage``, ``analytic.solve_single_en`` and the benchmark's
+LPs, ``analytic.solve_single_en`` and the benchmark's
 ``perfbench/checker.py``.
 """
 
@@ -357,7 +357,7 @@ def build_base(inst: Instance, m_lin: float, name: str, scheme: str = "dyn",
                           ids.rev[k])
         cols = FollowerColumns(x0=x0, x=x, y0=y0, y=y[k],
                                da=ids.avg_delay[k], rev=rev, t=t[k])
-        add_follower_rows(m, inst, k, cols, prices=None, placed=None)
+        add_follower_rows(m, inst, k, cols, None)
 
         # pi[j,v,k] = r[j,v] * mu2[k], as the hull over EN j's one-hot
         # price choice: mu2 splits across the levels, each share boxed

@@ -5,7 +5,8 @@ Given fixed prices and placement, each service solves a small LP that
 splits its workload between the cloud and the ENs hosting it. Its
 primal rows are written by ``add_follower_rows`` alone, for the follower
 LP here (constant prices and placement) and for both MILPs (prices
-through the revenue column, placement through the binaries ``t``).
+through the revenue column, placement through the binaries ``t``); the
+oracle writes its own.
 ``build_follower_dual`` writes the dual on its own, apart from the
 MILPs' ``_milp_base.add_dual_rows``, because it is the reference the
 multipliers are tested against. Both builders create their columns with
@@ -71,16 +72,14 @@ class FollowerColumns:
 
 def add_follower_rows(m: LinearModel, inst: Instance, k: int,
                       cols: FollowerColumns,
-                      prices: Optional[np.ndarray],
-                      placed: Optional[np.ndarray]) -> None:
+                      ctx: Optional[FollowerContext]) -> None:
     """Write service ``k``'s primal feasibility rows into ``m``, in the
-    order ``bal, cov0, cov, cap, elig, ddef, dcap, budget``.
-
-    ``prices`` are constant edge prices, which put ``prices @ y`` into the
-    budget row; without them the revenue column ``cols.rev`` stands for
-    that spend. ``placed`` is a constant 0/1 placement, which gives the
-    capacity row the right-hand side ``cap * placed``; without it the
-    placement binaries enter the row as ``-cap * t``.
+    order ``bal, cov0, cov, cap, elig, ddef, dcap, budget``. With a
+    context they are the follower LP's: the budget row holds
+    ``ctx.prices @ y`` and the capacity row has the right-hand side
+    ``cap * ctx.placed``. Without one they are the MILPs': the revenue
+    column ``cols.rev`` stands for that spend, and the placement
+    binaries ``cols.t`` enter the capacity row as ``-cap * t``.
     """
     M, N = inst.num_aps, inst.num_ens
     for i in range(M):
@@ -97,11 +96,11 @@ def add_follower_rows(m: LinearModel, inst: Instance, k: int,
         m.add_constr(coeffs, LE, 0.0, name=f"cov_{j}_{k}")
     for j in range(N):
         cap = inst.compute_cap[j]
-        if placed is None:
+        if ctx is None:
             m.add_constr({cols.y[j]: 1.0, cols.t[j]: -cap}, LE, 0.0,
                          name=f"cap_{j}_{k}")
         else:
-            m.add_constr({cols.y[j]: 1.0}, LE, cap * placed[j],
+            m.add_constr({cols.y[j]: 1.0}, LE, cap * ctx.placed[j],
                          name=f"cap_{j}_{k}")
     for i in range(M):
         for j in range(N):
@@ -117,8 +116,8 @@ def add_follower_rows(m: LinearModel, inst: Instance, k: int,
     for i in range(M):
         m.add_constr({cols.da[i]: 1.0}, LE, inst.delay_cap[k],
                      name=f"dcap_{i}_{k}")
-    spend = ({cols.rev: 1.0} if prices is None
-             else {cols.y[j]: prices[j] for j in range(N)})
+    spend = ({cols.rev: 1.0} if ctx is None
+             else {cols.y[j]: ctx.prices[j] for j in range(N)})
     m.add_constr({cols.y0: inst.cloud_price, **spend}, LE, inst.budget[k],
                  name=f"budget_{k}")
 
@@ -135,7 +134,7 @@ def build_follower_lp(ctx: FollowerContext) -> Tuple[LinearModel,
     da = m.add_vars("da", (M,))
     cols = FollowerColumns(x0=x0.tolist(), x=x.tolist(), y0=y0, y=y.tolist(),
                            da=da.tolist())
-    add_follower_rows(m, inst, k, cols, prices=ctx.prices, placed=ctx.placed)
+    add_follower_rows(m, inst, k, cols, ctx)
 
     w = inst.delay_weight[k]
     obj = {y0: inst.cloud_price, **dict(zip(cols.y, ctx.prices))}

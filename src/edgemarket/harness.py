@@ -139,10 +139,12 @@ class SweepResult:
 
 
 def _instance_for(cfg: ScenarioConfig, axis: str, value: float) -> Instance:
-    if axis == "m":
-        return sample_instance(replace(cfg, num_aps=int(value)))
-    if axis == "k":
-        return sample_instance(replace(cfg, num_services=int(value)))
+    if axis in ("m", "k"):
+        if not float(value).is_integer():
+            raise ValueError(f"axis {axis} counts, so {value} must be a "
+                             "whole number")
+        count = "num_aps" if axis == "m" else "num_services"
+        return sample_instance(replace(cfg, **{count: int(value)}))
     factors = ScalingFactors(**{_FACTOR_FIELDS[axis]: float(value)})
     return scale_instance(sample_instance(cfg), factors)
 

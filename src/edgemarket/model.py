@@ -9,6 +9,7 @@ over price levels. All arrays are 0-based and row-major.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -80,15 +81,18 @@ class Instance:
     provenance: Optional[dict] = None
 
     def __post_init__(self):
-        for _, attr in _JSON_FIELDS:
+        for key, attr in _JSON_FIELDS:
             val = getattr(self, attr)
-            if isinstance(val, (list, tuple, np.ndarray)):
-                kind = int if attr == "eligible" else float
-                object.__setattr__(self, attr, _freeze(np.asarray(val, dtype=kind)))
-            elif attr.startswith("num"):
-                object.__setattr__(self, attr, int(val))
-            else:
-                object.__setattr__(self, attr, float(val))
+            try:
+                if isinstance(val, (list, tuple, np.ndarray)):
+                    kind = int if attr == "eligible" else float
+                    val = _freeze(np.asarray(val, dtype=kind))
+                else:
+                    val = (int if attr.startswith("num") else float)(val)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for {key}: "
+                                 f"{reprlib.repr(val)}") from exc
+            object.__setattr__(self, attr, val)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         doc = {"schema_version": SCHEMA_VERSION}
@@ -101,10 +105,19 @@ class Instance:
 
     @staticmethod
     def from_json(text: str) -> "Instance":
+        """The instance of a JSON document. A document that is not an
+        object, lacks a field or holds a value of the wrong kind raises
+        ValueError naming it."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("an instance must be a JSON object, not "
+                             f"{type(doc).__name__}")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version: {version!r}")
+        missing = [key for key, _ in _JSON_FIELDS if key not in doc]
+        if missing:
+            raise ValueError("instance lacks field(s): " + ", ".join(missing))
         kwargs = {attr: doc[key] for key, attr in _JSON_FIELDS}
         kwargs["provenance"] = doc.get("provenance")
         return Instance(**kwargs)

@@ -5,8 +5,10 @@ exactly, resolves follower degeneracy in the leader's favour, and
 evaluates the profit. Ground truth for both MILP reformulations.
 
 Each LP is built once per instance, with every EN open and every price
-level present: one follower LP per service and one second-stage LP.
-Each EN's purchase is split into one column per price level,
+level present: one follower LP per service and one second-stage LP,
+both from the one per-service row writer ``_service_rows``. It shares
+no row with the MILPs, so the oracle stays an independent check of
+them. Each EN's purchase is split into one column per price level,
 ``y[j] = sum_v yv[j, v]``, and the spend is
 ``sum_v price_grid[j, v] * yv[j, v]``. A price vector fixes the columns
 of the levels it does not pick at 0, and a placement fixes an unplaced
@@ -31,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import lp_core
-from .follower import FollowerColumns, add_follower_rows
 # Unused here, but perfbench/spans.py wraps ``oracle.solve_follower``.
 from .follower import solve_follower  # noqa: F401
 from .lp_core import LE, EQ, LinearModel
@@ -70,16 +71,59 @@ def _unpicked(yv: np.ndarray, levels: tuple) -> Dict[int, Tuple[float, float]]:
     return dict.fromkeys(yv[unpicked].ravel().tolist(), (0.0, 0.0))
 
 
+def _service_rows(m: LinearModel, inst: Instance, k: int, x0: np.ndarray,
+                  x: np.ndarray, y0: int, y: np.ndarray, yv: np.ndarray,
+                  cost: int) -> Dict[int, float]:
+    """Write service ``k``'s follower rows on the given columns, in the
+    order ``split, bal, cov0, cov, elig, budget, dcap, pin``, and return
+    its spend, ``{yv id: grid price}``. ``split`` sums the per-level
+    columns ``yv[j, v]`` into ``y[j]``; ``pin`` reads ``cost >=`` the
+    service's cost. Capacity and placement are left to the callers: to
+    column bounds, and to the second stage's ``encap`` rows."""
+    M, N = inst.num_aps, inst.num_ens
+    x0, x, y = x0.tolist(), x.tolist(), y.tolist()
+    y0, cost = int(y0), int(cost)
+    spend = dict(zip(yv.ravel().tolist(), inst.price_grid.ravel().tolist()))
+    for j in range(N):
+        m.add_constr({**dict.fromkeys(yv[j].tolist(), -1.0), y[j]: 1.0},
+                     EQ, 0.0, name=f"split_{j}_{k}")
+    for i in range(M):
+        m.add_constr({x0[i]: 1.0, **dict.fromkeys(x[i], 1.0)}, EQ,
+                     inst.demand[i, k], name=f"bal_{i}_{k}")
+    m.add_constr({**dict.fromkeys(x0, 1.0), y0: -1.0}, LE, 0.0,
+                 name=f"cov0_{k}")
+    for j in range(N):
+        m.add_constr({**dict.fromkeys([row[j] for row in x], 1.0),
+                      y[j]: -1.0}, LE, 0.0, name=f"cov_{j}_{k}")
+    for i in range(M):
+        for j in range(N):
+            m.add_constr({x[i][j]: 1.0}, LE,
+                         inst.eligible[i, j, k] * inst.demand[i, k],
+                         name=f"elig_{i}_{j}_{k}")
+    m.add_constr({y0: inst.cloud_price, **spend}, LE, inst.budget[k],
+                 name=f"budget_{k}")
+    for i in np.flatnonzero(inst.demand[:, k] > 0).tolist():
+        m.add_constr({x0[i]: inst.delay_cloud[i],
+                      **dict(zip(x[i], inst.delay_edge[i]))}, LE,
+                     inst.delay_cap[k] * inst.demand[i, k],
+                     name=f"dcap_{i}_{k}")
+    w = inst.delay_weight[k]
+    pin = {y0: inst.cloud_price, **spend, cost: -1.0}
+    for i in range(M):
+        pin[x0[i]] = w * inst.delay_cloud[i]
+        pin.update(zip(x[i], w * inst.delay_edge[i]))
+    m.add_constr(pin, LE, 0.0, name=f"pin_{k}")
+    return spend
+
+
 class _FollowerCosts:
     """Optimal follower costs, from one LP per service built on its first
-    use: the follower LP of ``follower.add_follower_rows`` with every EN
-    placed, whose purchase ``y[j]`` is split over the per-level columns
-    ``yv[j, v]`` (rows ``split_j``) and whose spend is the revenue column
-    (row ``revenue``). A price vector fixes the unpicked levels' columns
-    at 0, and an unplaced EN is closed by fixing the service's purchase
-    from it at 0, which is the LP with that EN's capacity row at
-    right-hand side 0. So the cost sees only the prices of the placed
-    ENs, and ``cache`` is keyed on those levels."""
+    use: ``_service_rows`` on one service's columns, with every EN's
+    purchase ``y[j]`` capped at its capacity by the column bound, and
+    the ``cost`` column minimised. A price vector fixes the unpicked
+    levels' columns at 0, and an unplaced EN is closed by fixing the
+    service's purchase from it at 0. So the cost sees only the prices of
+    the placed ENs, and ``cache`` is keyed on those levels."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -93,27 +137,10 @@ class _FollowerCosts:
         M, N, V = inst.num_aps, inst.num_ens, inst.num_price_levels
         m = LinearModel(name=f"follower{k}", sense="min")
         x0, x = m.add_vars("x0", (M,)), m.add_vars("x", (M, N))
-        y0, y = m.add_var("y0"), m.add_vars("y", (N,))
-        da = m.add_vars("da", (M,))
-        yv, rev = m.add_vars("yv", (N, V)), m.add_var("rev")
-        cols = FollowerColumns(x0=x0.tolist(), x=x.tolist(), y0=y0,
-                               y=y.tolist(), da=da.tolist(), rev=rev)
-        add_follower_rows(m, inst, k, cols, prices=None,
-                          placed=np.ones(N, dtype=int))
-        for j in range(N):
-            coeffs = dict.fromkeys(yv[j].tolist(), -1.0)
-            coeffs[cols.y[j]] = 1.0
-            m.add_constr(coeffs, EQ, 0.0, name=f"split_{j}")
-        spend = dict(zip(yv.ravel().tolist(), inst.price_grid.ravel().tolist()))
-        m.add_constr({rev: 1.0, **{vid: -p for vid, p in spend.items()}},
-                     EQ, 0.0, name="revenue")
-
-        w = inst.delay_weight[k]
-        obj = {y0: inst.cloud_price, **spend}
-        obj.update(zip(cols.x0, (w * inst.delay_cloud).tolist()))
-        obj.update(zip(x.ravel().tolist(),
-                       (w * inst.delay_edge).ravel().tolist()))
-        m.set_objective(obj)
+        y0, y = m.add_var("y0"), m.add_vars("y", (N,), ub=inst.compute_cap)
+        yv, cost = m.add_vars("yv", (N, V)), m.add_var("cost", -math.inf)
+        _service_rows(m, inst, k, x0, x, y0, y, yv, cost)
+        m.set_objective({cost: 1.0})
         return m, y, yv
 
     def cost(self, k: int, levels: tuple, placed_k: tuple) -> Optional[float]:
@@ -136,13 +163,12 @@ class _FollowerCosts:
 class _SecondStage:
     """Among follower-optimal responses, the profile that maximizes the
     leader's revenue minus utilization cost, subject to the shared EN
-    capacity, as one LP per instance. Each purchase ``y[j,k]`` is split
-    over the per-level columns ``yv[j,v,k]`` (rows ``split_j_k``), which
-    carry the prices in the budget and pin rows and in the objective.
-    The columns are ``add_vars`` blocks, symbol by symbol and within a
-    symbol service by service; ``x0``, ``x``, ``y0``, ``y``, ``yv`` and
-    ``cost`` hold their ids, one array per symbol with the service index
-    last, as ``_milp_base.MilpLayout`` does.
+    capacity, as one LP per instance: ``_service_rows`` for each service
+    in turn, then one ``encap`` row per EN. The columns are ``add_vars``
+    blocks, symbol by symbol and within a symbol service by service;
+    ``x0``, ``x``, ``y0``, ``y``, ``yv`` and ``cost`` hold their ids, one
+    array per symbol with the service index last, as
+    ``_milp_base.MilpLayout`` does.
 
     A leader decision enters only through column bounds: the price
     vector fixes the unpicked levels' columns at 0; ``y[j,k]`` is capped
@@ -169,45 +195,16 @@ class _SecondStage:
         self.y0, self.y = block("y0", ()), block("y", (N,))
         self.yv, self.cost = block("yv", (N, V)), block("cost", (), -math.inf)
 
-        grid = inst.price_grid.ravel().tolist()
         minus_util = (-inst.variable_cost / inst.compute_cap).tolist()
         obj: Dict[int, float] = {}
         for k in range(K):
-            x0, x = self.x0[:, k].tolist(), self.x[..., k].tolist()
-            y0, y, yv = int(self.y0[k]), self.y[:, k].tolist(), self.yv[..., k]
-            spend = dict(zip(yv.ravel().tolist(), grid))
-            for j in range(N):
-                m.add_constr({**dict.fromkeys(yv[j].tolist(), -1.0),
-                              y[j]: 1.0}, EQ, 0.0, name=f"split_{j}_{k}")
-            for i in range(M):
-                m.add_constr({x0[i]: 1.0, **dict.fromkeys(x[i], 1.0)}, EQ,
-                             inst.demand[i, k], name=f"bal_{i}_{k}")
-            m.add_constr({**dict.fromkeys(x0, 1.0), y0: -1.0}, LE, 0.0,
-                         name=f"cov0_{k}")
-            for j in range(N):
-                m.add_constr({**dict.fromkeys([row[j] for row in x], 1.0),
-                              y[j]: -1.0}, LE, 0.0, name=f"cov_{j}_{k}")
-            for i in range(M):
-                for j in range(N):
-                    m.add_constr({x[i][j]: 1.0}, LE,
-                                 inst.eligible[i, j, k] * inst.demand[i, k],
-                                 name=f"elig_{i}_{j}_{k}")
-            m.add_constr({y0: inst.cloud_price, **spend}, LE, inst.budget[k],
-                         name=f"budget_{k}")
-            for i in np.flatnonzero(inst.demand[:, k] > 0).tolist():
-                m.add_constr({x0[i]: inst.delay_cloud[i],
-                              **dict(zip(x[i], inst.delay_edge[i]))}, LE,
-                             inst.delay_cap[k] * inst.demand[i, k],
-                             name=f"dcap_{i}_{k}")
-            w = inst.delay_weight[k]
-            pin = {y0: inst.cloud_price, **spend, int(self.cost[k]): -1.0}
-            for i in range(M):
-                pin[x0[i]] = w * inst.delay_cloud[i]
-                pin.update(zip(x[i], w * inst.delay_edge[i]))
-            m.add_constr(pin, LE, 0.0, name=f"pin_{k}")
-            obj.update(spend)
+            obj.update(_service_rows(m, inst, k, self.x0[:, k],
+                                     self.x[..., k], self.y0[k],
+                                     self.y[:, k], self.yv[..., k],
+                                     self.cost[k]))
             obj.update((vid, minus_util[j])
-                       for row in x for j, vid in enumerate(row))
+                       for row in self.x[..., k].tolist()
+                       for j, vid in enumerate(row))
         for j in range(N):
             m.add_constr(dict.fromkeys(self.y[j].tolist(), 1.0), LE,
                          inst.compute_cap[j], name=f"encap_{j}")

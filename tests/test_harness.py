@@ -112,11 +112,13 @@ def test_sweep_profit_rederivable():
 def test_sweep_captures_errors_per_row():
     cfg = ScenarioConfig(seed=1, num_aps=2, num_ens=1, num_services=1,
                          price_levels=TINY_PRICES)
-    result = run_sensitivity_sweep(cfg, "m", [2, -1], schemes=("dyn",),
+    result = run_sensitivity_sweep(cfg, "m", [2, -1, 2.5], schemes=("dyn",),
                                    config=CFG)
     ok = [r for r in result.rows if r.status == "optimal"]
     bad = [r for r in result.rows if r.status.startswith("error")]
-    assert len(ok) == 1 and len(bad) == 1
+    assert len(ok) == 1 and len(bad) == 2
+    assert [r.value for r in bad] == [-1, 2.5]
+    assert "whole number" in bad[1].status
 
 
 def test_sweep_rejects_unknown_axis():
@@ -210,6 +212,31 @@ def test_cli_gen_empty_dimension_exit_4(tmp_path, capsys, flag, value):
 def test_cli_missing_file_exit_4(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "nope.json")])
     assert rc == 4
+
+
+def _drop_budget(doc):
+    del doc["budget"]
+    return doc
+
+
+@pytest.mark.parametrize("malform, message", [
+    pytest.param(_drop_budget, "lacks field(s): budget", id="missing-field"),
+    pytest.param(lambda doc: {**doc, "numAps": None},
+                 "bad value for numAps: None", id="null-count"),
+    pytest.param(lambda doc: [doc], "must be a JSON object, not list",
+                 id="top-level-list"),
+])
+def test_cli_malformed_instance_exit_4(tmp_path, capsys, malform, message):
+    """A malformed instance file is refused with exit 4 and one
+    ``error: ...`` line on stderr naming the fault, not a traceback."""
+    path = _gen(tmp_path)
+    path.write_text(json.dumps(malform(json.loads(path.read_text()))))
+    capsys.readouterr()
+    rc = main(["solve", "--instance", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_time_limit_hit_exit_3(tmp_path, capsys):

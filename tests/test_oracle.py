@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from edgemarket._milp_base import zero_multipliers
 from edgemarket.follower import (FollowerContext, FollowerInfeasibleError,
                                  solve_follower)
 from edgemarket.lp_core import MilpConfig
@@ -15,7 +16,7 @@ from edgemarket.reform_dual import solve_p2
 from edgemarket.oracle import (OracleResult, brute_force_bilevel, compare,
                                _candidate_count, _placements, _SecondStage)
 
-from conftest import tight_budget, tiny_instance
+from conftest import drawn_variant, tight_budget, tiny_instance
 
 
 def test_candidate_count_and_budget_guard():
@@ -143,17 +144,26 @@ def _cold_log(inst):
 
 
 @pytest.mark.parametrize(
-    "seed, tight",
-    [pytest.param(s, False, id=str(s)) for s in (0, 4, 7, 13)]
-    + [pytest.param(s, True, id=f"tight{s}") for s in (0, 4, 7, 13)])
-def test_hot_resolves_match_cold_solves(seed, tight):
-    """The oracle re-solves one model per instance under changed column
-    bounds; each candidate must come out as it does solved cold. The
-    generated budgets never bind, so the ``tight_budget`` variants are
-    what test the per-level spend in the budget rows."""
+    "seed, variant",
+    [pytest.param(s, None, id=str(s)) for s in (0, 4, 7, 13)]
+    + [pytest.param(s, "tight", id=f"tight{s}") for s in (0, 4, 7, 13)]
+    + [pytest.param(s, "drawn", id=f"drawn{s}") for s in (6, 9, 13, 16)])
+def test_hot_resolves_match_cold_solves(seed, variant):
+    """The oracle re-solves its own LPs under changed column bounds; each
+    candidate must come out as it does solved cold by ``solve_follower``,
+    whose rows ``follower.add_follower_rows`` writes apart from the
+    oracle's. The generated budgets never bind, so the ``tight_budget``
+    variants are what test the per-level spend in the budget rows, and
+    the ``drawn_variant`` ones, two ENs and two services each, are where
+    budgets and delay caps bind together, with some service's budget
+    multiplier not proven 0."""
     inst = tiny_instance(seed)
-    if tight:
+    if variant == "tight":
         inst = tight_budget(inst)
+    elif variant == "drawn":
+        inst = drawn_variant(inst, seed)
+        assert (inst.num_ens, inst.num_services) == (2, 2)
+        assert not zero_multipliers(inst)[0].all()
     res = brute_force_bilevel(inst)
     assert len(res.log) == res.candidates_examined
     hot = {(e["levels"], e["z"], e["t"]): e.get("profit", e.get("infeasible"))
