@@ -1,5 +1,5 @@
-"""Print one SHA-256 per compiled P1, P2, follower and oracle model over a
-fixed suite.
+"""Print one SHA-256 per suite instance and per compiled P1, P2,
+follower and oracle model over a fixed suite.
 
 The suite is P1 and P2, each under the three pricing schemes ``dyn``,
 ``flat`` and ``avg``, on tiny seeds 0-39, desk seeds 0-4 (6x3x4) and base
@@ -12,8 +12,11 @@ the second stage, ``tiny/{s}/oracle/stage``, and each service's follower
 LP, ``tiny/{s}/oracle/follower{k}``: 101 models, 785 in all. Each hash
 covers what HiGHS is handed and how the model names it: the objective
 sense and cost vector, the CSC matrix, the row and column bounds, the
-binary ids, and the variable and constraint names. A change that claims to leave every model unchanged
-prints the same lines as its parent:
+binary ids, and the variable and constraint names. Each instance's own
+line, ``{label}/instance``, hashes its ``to_json()`` text, so equal lines
+show that the generator's output is byte-identical: 48 lines. A change
+that claims to leave every instance and model unchanged prints the same
+lines as its parent:
 
     python3 scripts/model_fingerprint.py > after.txt
     python3 scripts/model_fingerprint.py /path/to/parent/src > before.txt
@@ -113,6 +116,8 @@ def main(argv) -> int:
             print(f"{name} {family} {digest}")
 
     for label, inst in _instances(scenario):
+        print(f"{label}/instance "
+              f"{hashlib.sha256(inst.to_json().encode()).hexdigest()}")
         for method, build in (("p1", reform_kkt.build_p1),
                               ("p2", reform_dual.build_p2)):
             for scheme in ("dyn", "flat", "avg"):

@@ -14,7 +14,7 @@ from .lp_core import (LinearModel, MilpConfig, MilpSolution, export_mps,
                       import_solution, solve_lp, solve_milp)
 from .model import (DualSolution, FollowerSolution, Instance, LeaderDecision,
                     ScalingFactors, follower_cost, leader_profit,
-                    scale_instance, validate_instance)
+                    scale_instance)
 from .oracle import OracleResult, brute_force_bilevel, compare
 from .reform_dual import (build_p2, extract_solution_p2, solve_p2,
                           verify_bilevel_optimality)

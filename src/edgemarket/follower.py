@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lp_core
 from .lp_core import LE, EQ, LinearModel
-from .model import DualSolution, FollowerSolution, Instance
+from .model import DualSolution, FollowerSolution, Instance, whole
 from .tolerances import TOL
 
 
@@ -49,7 +49,8 @@ class FollowerContext:
 
     def __post_init__(self):
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
-        object.__setattr__(self, "placed", np.asarray(self.placed, dtype=int))
+        object.__setattr__(self, "placed", whole("placed", self.placed,
+                                                 binary=True))
         N = self.inst.num_ens
         if self.prices.shape != (N,) or self.placed.shape != (N,):
             raise ValueError("prices/placed must have one entry per EN")

@@ -140,11 +140,8 @@ class SweepResult:
 
 def _instance_for(cfg: ScenarioConfig, axis: str, value: float) -> Instance:
     if axis in ("m", "k"):
-        if not float(value).is_integer():
-            raise ValueError(f"axis {axis} counts, so {value} must be a "
-                             "whole number")
         count = "num_aps" if axis == "m" else "num_services"
-        return sample_instance(replace(cfg, **{count: int(value)}))
+        return sample_instance(replace(cfg, **{count: value}))
     factors = ScalingFactors(**{_FACTOR_FIELDS[axis]: float(value)})
     return scale_instance(sample_instance(cfg), factors)
 

@@ -478,6 +478,16 @@ class MilpConfig:
     node_limit: Optional[int] = None
     backend: str = "bnb"          # "bnb" (embedded) or "highs"
 
+    def __post_init__(self):
+        if not self.gap_tol >= 0:
+            raise ValueError(f"gap_tol must be at least 0, got {self.gap_tol}")
+        for name in ("time_limit", "node_limit"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
+        if self.backend not in ("bnb", "highs"):
+            raise ValueError(f"unknown backend: {self.backend}")
+
 
 def deadline(cfg: MilpConfig) -> Optional[float]:
     """The ``time.perf_counter()`` reading at which ``cfg``'s time limit,
@@ -560,12 +570,7 @@ def solve_milp(m: LinearModel, cfg: Optional[MilpConfig] = None) -> MilpSolution
     """
     cfg = cfg or MilpConfig()
     m.validate()
-    if cfg.backend == "highs":
-        solver = _solve_milp_highs
-    elif cfg.backend == "bnb":
-        solver = _solve_milp_bnb
-    else:
-        raise ValueError(f"unknown backend: {cfg.backend}")
+    solver = _solve_milp_highs if cfg.backend == "highs" else _solve_milp_bnb
     return _solve_polished(m, cfg, solver)
 
 

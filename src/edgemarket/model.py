@@ -1,5 +1,5 @@
-"""Problem data model: instances, decisions, solutions, validation and
-objective evaluation.
+"""Problem data model: instances, valid once built, decisions, solutions
+and objective evaluation.
 
 Index conventions used throughout the package: ``i`` ranges over access
 points (APs), ``j`` over edge nodes (ENs), ``k`` over services and ``v``
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,16 @@ _JSON_FIELDS = [
 ]
 
 
+def whole(name: str, value, binary: bool = False):
+    """``value`` as int, if each entry is whole (0 or 1 when ``binary``)."""
+    a = np.asarray(value, dtype=float)
+    ok = (a == 0) | (a == 1) if binary else np.isfinite(a) & (a == np.trunc(a))
+    if not ok.all():
+        kind = "0 or 1" if binary else "a whole number"
+        raise ValueError(f"{name} must be {kind}, got {float(a[~ok][0])}")
+    return a.astype(int) if a.ndim else int(a)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -52,6 +62,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Instance:
     """Immutable problem data for one pricing/placement/allocation problem.
+    Building one that breaks the model raises ValueError naming why.
 
     Shapes: demand (M, K); delay_edge (M, N); delay_cloud (M,);
     price_grid (N, V); compute_cap, storage_cap, fixed_cost, variable_cost (N,);
@@ -84,15 +95,17 @@ class Instance:
         for key, attr in _JSON_FIELDS:
             val = getattr(self, attr)
             try:
-                if isinstance(val, (list, tuple, np.ndarray)):
-                    kind = int if attr == "eligible" else float
-                    val = _freeze(np.asarray(val, dtype=kind))
-                else:
-                    val = (int if attr.startswith("num") else float)(val)
+                is_array = isinstance(val, (list, tuple, np.ndarray))
+                val = np.asarray(val, dtype=float) if is_array else float(val)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad value for {key}: "
                                  f"{reprlib.repr(val)}") from exc
-            object.__setattr__(self, attr, val)
+            if attr == "eligible" or attr.startswith("num"):
+                val = whole(key, val)
+            object.__setattr__(self, attr, _freeze(val) if is_array else val)
+        violations = _violations(self)
+        if violations:
+            raise ValueError("invalid instance: " + "; ".join(violations))
 
     def to_json(self, indent: Optional[int] = None) -> str:
         doc = {"schema_version": SCHEMA_VERSION}
@@ -145,10 +158,10 @@ class LeaderDecision:
     placed: np.ndarray        # (N, K) binary
 
     def __post_init__(self):
-        self.price_level = np.asarray(self.price_level, dtype=int)
+        self.price_level = whole("price_level", self.price_level)
         self.price = np.asarray(self.price, dtype=float)
-        self.active = np.asarray(self.active, dtype=int)
-        self.placed = np.asarray(self.placed, dtype=int)
+        self.active = whole("active", self.active, binary=True)
+        self.placed = whole("placed", self.placed, binary=True)
 
 
 @dataclass
@@ -194,24 +207,12 @@ class DualSolution:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str):
-        self.violations.append(message)
-
-
-def validate_instance(inst: Instance) -> ValidationReport:
-    """Check every instance invariant; returns diagnostics, never raises."""
-    rep = ValidationReport()
+def _violations(inst: Instance) -> list[str]:
+    """Every invariant ``inst`` breaks, one message each."""
+    rep = []
     for key, attr in _JSON_FIELDS[:4]:   # the dimension counts
         if getattr(inst, attr) < 1:
-            rep.add(f"{key} must be at least 1, got {getattr(inst, attr)}")
+            rep.append(f"{key} must be at least 1, got {getattr(inst, attr)}")
     M, N, K, V = inst.num_aps, inst.num_ens, inst.num_services, inst.num_price_levels
     expected = {
         "demand": (M, K),
@@ -233,8 +234,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for key, shape in expected.items():
         arr = getattr(inst, attr_of[key])
         if arr.shape != shape:
-            rep.add(f"{key} has shape {arr.shape}, expected {shape}")
-    if rep.violations:
+            rep.append(f"{key} has shape {arr.shape}, expected {shape}")
+    if rep:
         return rep  # index checks below assume declared shapes
 
     for name in ("demand", "delay_edge", "delay_cloud", "price_grid", "compute_cap",
@@ -242,32 +243,32 @@ def validate_instance(inst: Instance) -> ValidationReport:
                  "service_size", "budget", "delay_weight", "delay_cap"):
         arr = getattr(inst, name)
         if not np.all(np.isfinite(arr)):
-            rep.add(f"{name} contains non-finite entries")
+            rep.append(f"{name} contains non-finite entries")
 
     for i, k in zip(*np.nonzero(inst.demand < 0)):
-        rep.add(f"negative demand at ({i},{k})")
+        rep.append(f"negative demand at ({i},{k})")
     for idx in zip(*np.nonzero(inst.delay_edge < 0)):
-        rep.add(f"negative edge delay at {idx}")
+        rep.append(f"negative edge delay at {idx}")
     for (i,) in zip(*np.nonzero(inst.delay_cloud < 0)[:1]):
-        rep.add(f"negative cloud delay at {i}")
+        rep.append(f"negative cloud delay at {i}")
     if not np.isfinite(inst.cloud_price):
-        rep.add("cloud_price is non-finite")
+        rep.append("cloud_price is non-finite")
     elif not inst.cloud_price > 0:
-        rep.add("cloudPrice must be > 0")
+        rep.append("cloudPrice must be > 0")
     for j in range(N):
         col = inst.price_grid[j]
         if np.any(np.diff(col) <= 0):
-            rep.add(f"priceGrid not ascending at j={j}")
+            rep.append(f"priceGrid not ascending at j={j}")
     for name, label in (("compute_cap", "computeCap"), ("storage_cap", "storageCap"),
                         ("service_size", "serviceSize"), ("budget", "budget"),
                         ("delay_cap", "delayCap")):
         for (idx,) in zip(*np.nonzero(~(getattr(inst, name) > 0))[:1]):
-            rep.add(f"non-positive {label} at {idx}")
+            rep.append(f"non-positive {label} at {idx}")
     for (k,) in zip(*np.nonzero(inst.delay_weight < 0)[:1]):
-        rep.add(f"negative delayWeight at {k}")
+        rep.append(f"negative delayWeight at {k}")
     bad = (inst.eligible != 0) & (inst.eligible != 1)
     for idx in zip(*np.nonzero(bad)):
-        rep.add(f"eligible entry not binary at {idx}")
+        rep.append(f"eligible entry not binary at {idx}")
     return rep
 
 

@@ -78,13 +78,12 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
     (``cc2``, ``cc3``) take 0 where the price is positive: buying
     capacity that no workload uses only adds cost, so the row is tight
     at every follower optimum. That holds for the cloud row always, as
-    the cloud price is positive, and for an EN's row when its lowest
-    grid price is; an EN with a free price level keeps the capacity
-    bound, and the cloud row with a free cloud price the per-service
-    demand. A bound of zero, as with no demand at all, is exact too: its
-    slack is zero at every follower optimum. On the multiplier side,
-    each pair's constant is its multiplier's entry of the
-    ``multiplier_bounds`` table at ``m_lin``, ``ids.bounds``. That is 0
+    every ``Instance`` has a positive cloud price, and for an EN's row
+    when its lowest grid price is; an EN with a free price level keeps
+    the capacity bound. A bound of zero, as with no demand at all, is
+    exact too: its slack is zero at every follower optimum. On the
+    multiplier side, each pair's constant is its multiplier's entry of
+    the ``multiplier_bounds`` table at ``m_lin``, ``ids.bounds``. That is 0
     for the delay-cap (``cc1``), eligibility (``cc5``) and budget
     (``cc6``) pairs wherever ``zero_multipliers`` proves it from the
     data: its masks hold for one optimal dual at once, and any optimal
@@ -106,8 +105,6 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
     # A coverage row is tight at every follower optimum where its price
     # is positive: the cloud's always, an EN's at every grid level when
     # its lowest is.
-    cloud_cov = (0.0 if inst.cloud_price > 0
-                 else float(inst.demand.sum(axis=0).max(initial=0.0)))
     edge_cov = np.where(inst.price_grid.min(axis=1) > 0, 0.0,
                         capacity).tolist()
     budget = float(inst.budget.max(initial=0.0))
@@ -125,7 +122,7 @@ def build_p1(inst: Instance, m_lin: float = M_LIN, scheme: str = "dyn",
             _add_pair(m, "cc1", f"{i}_{k}", rows[f"dcap_{i}_{k}"],
                       delay_max, ids.tau[k][i], bounds["tau"][i, k])
         _add_pair(m, "cc2", str(k), rows[f"cov0_{k}"],
-                  cloud_cov, ids.mu1[k], bounds["mu1"][k])
+                  0.0, ids.mu1[k], bounds["mu1"][k])
         for j in range(N):
             _add_pair(m, "cc3", f"{j}_{k}", rows[f"cov_{j}_{k}"],
                       edge_cov[j], ids.lam[k][j], bounds["lam"][j, k])

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .model import Instance, validate_instance
+from .model import Instance, whole
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -54,6 +54,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("num_aps", "num_ens", "num_services"):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got "
                                  f"{getattr(self, name)}")
@@ -176,7 +177,7 @@ def sample_instance(cfg: ScenarioConfig) -> Instance:
         # Reachable iff the edge path beats the service's delay cap.
         eligible = (delay_edge[:, :, None]
                     <= delay_cap[None, None, :]).astype(int)
-    inst = Instance(
+    return Instance(
         num_aps=M, num_ens=N, num_services=K,
         num_price_levels=len(cfg.price_levels),
         demand=demand, delay_edge=delay_edge, delay_cloud=delay_cloud,
@@ -192,7 +193,3 @@ def sample_instance(cfg: ScenarioConfig) -> Instance:
                     "ap_nodes": [int(x) for x in ap_nodes],
                     "en_nodes": [int(x) for x in en_nodes]},
     )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise RuntimeError(f"generated instance invalid: {report.violations}")
-    return inst

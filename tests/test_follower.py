@@ -28,6 +28,19 @@ def _ctx(seed=1, k=0, price=0.03, placed=1):
     return FollowerContext(inst, k, prices, placement)
 
 
+def test_context_refuses_a_placement_outside_0_1():
+    """A fractional placement is not truncated to 0, and a placement of 2
+    does not double the capacity row's right-hand side."""
+    inst = tiny_instance(1, num_ens=2)
+    prices = inst.price_grid[:, 0]
+    for placed, message in (([0.7, 1], "placed must be 0 or 1, got 0.7"),
+                            ([2, 1], "placed must be 0 or 1, got 2.0")):
+        with pytest.raises(ValueError, match=message):
+            FollowerContext(inst, 0, prices, placed)
+    ctx = FollowerContext(inst, 0, prices, np.array([True, False]))
+    assert ctx.placed.tolist() == [1, 0]
+
+
 def test_lp_dimensions_minimal_case():
     inst = tiny_instance(11, num_aps=1, num_ens=1, num_services=1)
     ctx = FollowerContext(inst, 0, [0.03], [1])

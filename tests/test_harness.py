@@ -219,12 +219,29 @@ def _drop_budget(doc):
     return doc
 
 
+def _fractional_eligible(doc):
+    """Every eligible entry at 0.7, which a cast to int would load as an
+    instance with no eligible EN."""
+    doc["eligible"] = np.where(np.array(doc["eligible"]) == 1, 0.7,
+                               0.0).tolist()
+    return doc
+
+
 @pytest.mark.parametrize("malform, message", [
     pytest.param(_drop_budget, "lacks field(s): budget", id="missing-field"),
     pytest.param(lambda doc: {**doc, "numAps": None},
                  "bad value for numAps: None", id="null-count"),
     pytest.param(lambda doc: [doc], "must be a JSON object, not list",
                  id="top-level-list"),
+    pytest.param(lambda doc: {**doc, "numAps": 2.5},
+                 "numAps must be a whole number, got 2.5",
+                 id="fractional-count"),
+    pytest.param(_fractional_eligible,
+                 "eligible must be a whole number, got 0.7",
+                 id="fractional-eligible"),
+    pytest.param(lambda doc: {**doc, "cloudPrice": 0.0},
+                 "invalid instance: cloudPrice must be > 0",
+                 id="free-cloud"),
 ])
 def test_cli_malformed_instance_exit_4(tmp_path, capsys, malform, message):
     """A malformed instance file is refused with exit 4 and one

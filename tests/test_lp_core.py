@@ -438,6 +438,24 @@ def test_node_limit_gap_covers_the_optimum():
     assert bound >= optimum - 1e-9
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("gap_tol", -1.0, "gap_tol must be at least 0, got -1.0"),
+    ("gap_tol", math.nan, "gap_tol must be at least 0, got nan"),
+    ("node_limit", -3, "node_limit must be at least 0, got -3"),
+    ("time_limit", -1.0, "time_limit must be at least 0, got -1.0"),
+    ("time_limit", math.nan, "time_limit must be at least 0, got nan"),
+    ("backend", "cplex", "unknown backend: cplex"),
+])
+def test_milp_config_refuses_what_breaks_a_solve(field, value, message):
+    """A negative gap tolerance made ``bnb`` report ``gap-limit`` at the
+    optimum and ``highs`` raise; a negative node limit or a NaN time
+    limit stopped either backend at once with no answer. Each is refused
+    when the config is built."""
+    with pytest.raises(ValueError, match=message):
+        MilpConfig(**{field: value})
+    MilpConfig(gap_tol=0.0, time_limit=0.0, node_limit=0, backend="highs")
+
+
 def test_unresolved_node_lp_keeps_its_subtree(monkeypatch):
     """A node LP that HiGHS leaves unresolved is not dropped: the node is
     split on its first free binary under its parent's bound. The node

@@ -1,13 +1,15 @@
-"""Data model: serialization round trip, validation, scaling, objectives."""
+"""Data model: serialization round trip, checks on construction, scaling,
+objectives."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from edgemarket.model import (FollowerSolution, Instance, LeaderDecision,
                               ScalingFactors, follower_cost, leader_profit,
-                              scale_instance, validate_instance)
+                              scale_instance)
 
 from conftest import tiny_instance
 
@@ -38,44 +40,90 @@ def test_instance_arrays_are_immutable():
 
 
 def test_validate_accepts_generated_instance():
-    assert validate_instance(tiny_instance(3)).ok
+    inst = tiny_instance(3)
+    assert dataclasses.replace(inst).to_json() == inst.to_json()
+    clone = dataclasses.replace(inst, num_aps=float(inst.num_aps))
+    assert type(clone.num_aps) is int and clone.num_aps == inst.num_aps
 
 
 def test_validate_flags_each_violation_family():
+    """Building an instance that breaks the model raises ValueError with
+    each violation's message, one case per message."""
     inst = tiny_instance(3)
-    bad_demand = dataclasses.replace(inst, demand=-inst.demand)
-    rep = validate_instance(bad_demand)
-    assert any("negative demand" in v for v in rep.violations)
-
     grid = np.array(inst.price_grid)
     grid[0] = grid[0, ::-1]
-    rep = validate_instance(dataclasses.replace(inst, price_grid=grid))
-    assert any("not ascending" in v for v in rep.violations)
-
-    rep = validate_instance(dataclasses.replace(inst, budget=0 * inst.budget))
-    assert any("budget" in v for v in rep.violations)
-
-    wrong = np.ones((inst.num_aps + 1, inst.num_services))
-    rep = validate_instance(dataclasses.replace(inst, demand=wrong))
-    assert any("demand has shape" in v for v in rep.violations)
-
     nan_delay = np.array(inst.delay_edge)
     nan_delay[0, 0] = np.nan
     eligible = np.array(inst.eligible)
     eligible[0, 0, 0] = 2
-    for change, message in (
-            ({"delay_edge": nan_delay}, "delay_edge contains non-finite"),
-            ({"delay_edge": -inst.delay_edge}, "negative edge delay"),
-            ({"delay_cloud": -inst.delay_cloud}, "negative cloud delay"),
-            ({"cloud_price": 0.0}, "cloudPrice must be > 0"),
-            ({"cloud_price": np.inf}, "cloud_price is non-finite"),
-            ({"cloud_price": np.nan}, "cloud_price is non-finite"),
-            ({"num_services": 0}, "numServices must be at least 1"),
-            ({"delay_weight": -inst.delay_weight}, "negative delayWeight"),
-            ({"eligible": eligible}, "eligible entry not binary")):
-        rep = validate_instance(dataclasses.replace(inst, **change))
-        assert not rep.ok and any(message in v for v in rep.violations), \
-            (message, rep.violations)
+    cases = [
+        ({"num_aps": 0}, "numAps must be at least 1, got 0"),
+        ({"num_ens": 0}, "numEns must be at least 1, got 0"),
+        ({"num_services": 0}, "numServices must be at least 1, got 0"),
+        ({"num_price_levels": 0}, "numPriceLevels must be at least 1, got 0"),
+        ({"demand": np.ones((inst.num_aps + 1, inst.num_services))},
+         "demand has shape"),
+        ({"eligible": eligible[..., :0]}, "eligible has shape"),
+        ({"delay_edge": nan_delay}, "delay_edge contains non-finite entries"),
+        ({"demand": -inst.demand}, "negative demand at (0,0)"),
+        ({"delay_edge": -inst.delay_edge}, "negative edge delay at"),
+        ({"delay_cloud": -inst.delay_cloud}, "negative cloud delay at 0"),
+        ({"cloud_price": np.inf}, "cloud_price is non-finite"),
+        ({"cloud_price": np.nan}, "cloud_price is non-finite"),
+        ({"cloud_price": 0.0}, "cloudPrice must be > 0"),
+        ({"price_grid": grid}, "priceGrid not ascending at j=0"),
+        ({"delay_weight": -inst.delay_weight}, "negative delayWeight at 0"),
+        ({"eligible": eligible}, "eligible entry not binary at"),
+    ]
+    for name, label in (("compute_cap", "computeCap"),
+                        ("storage_cap", "storageCap"),
+                        ("service_size", "serviceSize"), ("budget", "budget"),
+                        ("delay_cap", "delayCap")):
+        cases.append(({name: 0 * getattr(inst, name)},
+                      f"non-positive {label} at 0"))
+    for change, message in cases:
+        with pytest.raises(ValueError, match="^invalid instance: .*"
+                           + re.escape(message)):
+            dataclasses.replace(inst, **change)
+
+    # Index checks assume the declared shapes, so a shape error is
+    # reported alone.
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(inst, demand=np.ones((1, 1)), cloud_price=0.0)
+    assert "demand has shape" in str(err.value)
+    assert "cloudPrice" not in str(err.value)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("num_aps", lambda inst: inst.num_aps + 0.5,
+                 "numAps must be a whole number, got 3.5", id="count"),
+    pytest.param("num_price_levels", lambda inst: np.nan,
+                 "numPriceLevels must be a whole number, got nan", id="nan"),
+    pytest.param("eligible",
+                 lambda inst: np.where(inst.eligible == 1, 0.7, 0.0),
+                 "eligible must be a whole number, got 0.7", id="eligible"),
+])
+def test_instance_refuses_what_a_cast_would_truncate(field, value, message):
+    """A count or eligibility entry that is not a whole number is refused,
+    not truncated into a smaller or emptier instance."""
+    inst = tiny_instance(3)
+    assert inst.num_aps == 3
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(inst, **{field: value(inst)})
+
+
+def test_leader_decision_refuses_non_integral_entries():
+    """A fractional price level or a placement or activation outside
+    {0, 1} is refused, not truncated."""
+    ok = dict(price_level=[0, 1], price=[0.01, 0.03], active=[1, 1],
+              placed=[[1], [0]])
+    LeaderDecision(**ok)
+    for field, value, message in (
+            ("price_level", [0.6, 1], "price_level must be a whole number"),
+            ("active", [1, 2], "active must be 0 or 1, got 2.0"),
+            ("placed", [[0.5], [1]], "placed must be 0 or 1, got 0.5")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LeaderDecision(**{**ok, field: value})
 
 
 def test_scale_instance_applies_all_factors():

@@ -13,8 +13,7 @@ from edgemarket import lp_core, reform_dual, reform_kkt
 from edgemarket._milp_base import (MAX_ESCALATIONS, M_LIN, IntegrityError,
                                    extract_solution, purchase_caps)
 from edgemarket.lp_core import LE, MilpConfig, MilpSolution, solve_lp
-from edgemarket.model import (FollowerSolution, LeaderDecision,
-                              leader_profit, validate_instance)
+from edgemarket.model import FollowerSolution, LeaderDecision, leader_profit
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import (build_p2, solve_p2,
                                     verify_bilevel_optimality)
@@ -399,7 +398,6 @@ def test_purchase_caps_keep_the_aps_the_proof_misses(edit, seed):
     caps, and a free level keeps ``C_j``. P1, P2 on both backends and
     the oracle agree."""
     inst, keep = edit(_provable(seed))
-    assert validate_instance(inst).ok
     cap = inst.compute_cap[:, None, None]
     kept = np.einsum("ik,ijk,ijkv->jvk", inst.demand, inst.eligible, keep)
     floor = np.minimum(cap, kept)

@@ -11,7 +11,7 @@ from edgemarket import lp_core
 from edgemarket._milp_base import (M_LIN, multiplier_bounds,
                                    zero_multipliers)
 from edgemarket.lp_core import LE, MilpConfig, solve_lp
-from edgemarket.model import leader_profit, validate_instance
+from edgemarket.model import leader_profit
 from edgemarket.oracle import brute_force_bilevel, compare
 from edgemarket.reform_dual import build_p2, solve_p2
 from edgemarket.reform_kkt import (build_p1, extract_solution_p1, solve_p1,
@@ -68,9 +68,7 @@ def _free_first_level(seed):
     inst = tiny_instance(seed, num_ens=2)
     grid = inst.price_grid.copy()
     grid[0, 0] = 0.0
-    inst = dataclasses.replace(inst, price_grid=grid)
-    assert validate_instance(inst).ok
-    return inst
+    return dataclasses.replace(inst, price_grid=grid)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 7])
@@ -133,7 +131,6 @@ def test_zero_demand_matches_oracle(solve):
     reformulations still solve and agree with the oracle."""
     base = tiny_instance(0)
     inst = dataclasses.replace(base, demand=np.zeros_like(base.demand))
-    assert validate_instance(inst).ok
     oracle = brute_force_bilevel(inst, keep_log=False)
     res = solve(inst, CFG)
     report = compare(oracle, res.objective, res.status)

@@ -145,6 +145,19 @@ def test_config_hash_ignores_seed_only():
     assert a.config_hash() != c.config_hash()
 
 
+def test_config_counts_must_be_whole():
+    """A count that is not a whole number is refused, not truncated; a
+    whole float is stored as an int, so the config and its hash equal
+    the int-built ones."""
+    for name in ("num_aps", "num_ens", "num_services"):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            ScenarioConfig(**{name: 2.5})
+    a = ScenarioConfig(num_aps=3.0, num_ens=2.0, num_services=1.0)
+    b = ScenarioConfig(num_aps=3, num_ens=2, num_services=1)
+    assert type(a.num_aps) is int and a == b
+    assert a.config_hash() == b.config_hash()
+
+
 def test_config_rejects_oversubscribed_topology():
     with pytest.raises(ValueError, match="topology"):
         ScenarioConfig(topology_nodes=10, num_aps=8, num_ens=4)
